@@ -6,6 +6,7 @@ features to propose matches and to impute unshared columns across databases.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Dataset
-from .neural import Adam, Mlp, PlateauScheduler
-from .stats import SimilarityMatrix, mutual_information, pearson_matrix
+from .neural import Adam, Mlp, PlateauScheduler, load_mlp_arrays, mlp_arrays
+from .stats import SimilarityMatrix, discretize, mutual_information_codes, pearson_matrix
 
 LOSS_KEYS = ("ae_a", "ae_b", "ce_a", "ce_b", "cy_a", "cy_b", "orth", "total")
 
@@ -160,22 +161,23 @@ def _orth_loss(lat: np.ndarray, eps: float = 1e-12):
     return norm, grad
 
 
-def _accumulate(buf: dict[int, list[np.ndarray]], net_id: int, grads: list[np.ndarray]):
-    if net_id not in buf:
-        buf[net_id] = [g.copy() for g in grads]
-    else:
-        for acc, g in zip(buf[net_id], grads):
-            acc += g
+def _pair_grads(first, second) -> list[np.ndarray]:
+    """Gradients of an (encoder, decoder) pair in optimizer order, from two side
+    passes' contributions, each parameter's summed in the order computed."""
+    grads = []
+    for contribs in (first[0] + second[0], first[1] + second[1]):
+        grads += [functools.reduce(np.add, parts) for parts in zip(*contribs)]
+    return grads
 
 
 def _side_pass(
     f_src: Mlp, g_src: Mlp, f_dst: Mlp, g_dst: Mlp,
-    x: np.ndarray, k: int, weights: np.ndarray, cfg: ChimericConfig,
-    rng, buf: dict[int, list[np.ndarray]],
+    x: np.ndarray, k: int, weights: np.ndarray, cfg: ChimericConfig, rng,
 ):
     """One direction of the objective: reconstruction, cross-reconstruction of
     the mapped block through the other decoder, cycle consistency, and latent
-    orthogonalization. Accumulates parameter gradients for all four networks."""
+    orthogonalization. Returns the losses and, for the source and destination
+    pair, (encoder, decoder) lists of gradient contributions."""
     lat, c_enc = f_src.forward(x, train=True, rng=rng)
     rec, c_dec = g_src.forward(lat, train=True, rng=rng)
     z, c_xdec = g_dst.forward(lat, train=True, rng=rng)
@@ -189,22 +191,18 @@ def _side_pass(
 
     # backprop: reconstruction branch
     g1, d_lat_ae = g_src.backward(c_dec, d_rec)
-    _accumulate(buf, id(g_src), g1)
     # cycle branch back through g_src, f_dst
     g2, d_lat2 = g_src.backward(c_dec2, cfg.w_cycle * d_cyc)
-    _accumulate(buf, id(g_src), g2)
     g3, d_z_cy = f_dst.backward(c_xenc, d_lat2)
-    _accumulate(buf, id(f_dst), g3)
     # chimeric output receives the cross gradient plus the cycle path
     g4, d_lat_x = g_dst.backward(c_xdec, cfg.w_cross * d_z_ce + d_z_cy)
-    _accumulate(buf, id(g_dst), g4)
     # encoder sees all three latent consumers
     d_lat = d_lat_ae + d_lat_x + cfg.w_orth * d_lat_orth
     g5, _ = f_src.backward(c_enc, d_lat)
-    _accumulate(buf, id(f_src), g5)
 
     total = ae + cfg.w_cross * ce + cfg.w_cycle * cy + cfg.w_orth * orth
-    return {"ae": ae, "ce": ce, "cy": cy, "orth": orth, "total": total}
+    losses = {"ae": ae, "ce": ce, "cy": cy, "orth": orth, "total": total}
+    return losses, ([g5], [g1, g2]), ([g3], [g4])
 
 
 def train(ds_a: Dataset, ds_b: Dataset, cfg: ChimericConfig | None = None) -> ChimericModel:
@@ -254,23 +252,20 @@ def train(ds_a: Dataset, ds_b: Dataset, cfg: ChimericConfig | None = None) -> Ch
             ib = rng.choice(n_b, size=min(cfg.batch_size, n_b), replace=False)
             xa = xa_all[ia]
             xb = xb_all[ib]
-            buf: dict[int, list[np.ndarray]] = {}
-            la = _side_pass(enc_a, dec_a, enc_b, dec_b, xa, k, w_a, cfg, rng, buf)
-            lb = _side_pass(enc_b, dec_b, enc_a, dec_a, xb, k, w_b, cfg, rng, buf)
+            la, a_own, b_from_a = _side_pass(enc_a, dec_a, enc_b, dec_b,
+                                             xa, k, w_a, cfg, rng)
+            lb, b_own, a_from_b = _side_pass(enc_b, dec_b, enc_a, dec_a,
+                                             xb, k, w_b, cfg, rng)
             total = la["total"] + lb["total"]
             if not math.isfinite(total):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch} step {step}: "
                     f"A={la} B={lb}"
                 )
-            zero_a = [np.zeros_like(p) for p in enc_a.parameters()]
-            zero_d = [np.zeros_like(p) for p in dec_a.parameters()]
-            opt_a.step(buf.get(id(enc_a), zero_a) + buf.get(id(dec_a), zero_d))
+            opt_a.step(_pair_grads(a_own, a_from_b))
             enc_a.mark_updated()
             dec_a.mark_updated()
-            zero_a = [np.zeros_like(p) for p in enc_b.parameters()]
-            zero_d = [np.zeros_like(p) for p in dec_b.parameters()]
-            opt_b.step(buf.get(id(enc_b), zero_a) + buf.get(id(dec_b), zero_d))
+            opt_b.step(_pair_grads(b_from_a, b_own))
             enc_b.mark_updated()
             dec_b.mark_updated()
             sums["ae_a"] += la["ae"]
@@ -337,12 +332,13 @@ def chimeric_dependence(
     if measure == "pearson":
         values, degen = pearson_matrix(ds.values, z)
     elif measure == "mutual_information":
-        p, pz = ds.n_features, len(z_features)
-        values = np.zeros((p, pz))
-        degen = np.zeros((p, pz), dtype=bool)
-        for i in range(p):
-            for j in range(pz):
-                values[i, j] = mutual_information(ds.values[:, i], z[:, j], bins=bins)
+        codes_x = [discretize(col, bins) for col in ds.values.T]
+        codes_z = [discretize(col, bins) for col in z.T]
+        values = np.zeros((len(codes_x), len(codes_z)))
+        degen = np.zeros(values.shape, dtype=bool)
+        for i, cx in enumerate(codes_x):
+            for j, cz in enumerate(codes_z):
+                values[i, j] = mutual_information_codes(cx, cz)
         flat = values.std(axis=1) == 0
         degen[flat, :] = True
     else:
@@ -390,9 +386,7 @@ def save_model(model: ChimericModel, path) -> None:
     arrays = {"meta": np.frombuffer(meta.encode(), dtype=np.uint8)}
     for tag, net in (("ea", model.encoder_a), ("da", model.decoder_a),
                      ("eb", model.encoder_b), ("db", model.decoder_b)):
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            arrays[f"{tag}_w{i}"] = w
-            arrays[f"{tag}_b{i}"] = b
+        arrays.update(mlp_arrays(net, f"{tag}_"))
         arrays[f"{tag}_sizes"] = np.array(net.sizes)
     for tag, scaler in (("sa", model.scaler_a), ("sb", model.scaler_b)):
         if scaler is not None:
@@ -413,13 +407,7 @@ def load_model(path) -> ChimericModel:
                     else [cfg.activation, cfg.activation, cfg.output_activation])
             sites = (1,) if tag.startswith("e") else (0,)
             net = Mlp(sizes, acts, dropout_sites=sites, dropout_rate=cfg.dropout)
-            for i in range(len(net.weights)):
-                w = data[f"{tag}_w{i}"]
-                b = data[f"{tag}_b{i}"]
-                if w.shape != net.weights[i].shape:
-                    raise ValueError(f"checkpoint {tag} layer {i} shape mismatch")
-                net.weights[i] = w.astype(np.float64)
-                net.biases[i] = b.astype(np.float64)
+            load_mlp_arrays(net, data, f"{tag}_")
             nets[tag] = net
         scalers = {}
         for tag in ("sa", "sb"):

@@ -94,9 +94,11 @@ def _load_pair(args):
 def _cmd_match(args) -> int:
     ds_a, ds_b = _load_pair(args)
     settings = MatchSettings(fdr_q=args.fdr_q, split_seed=args.seed)
+    # --config holds the chosen method's config; build only the one it reads
     res = run_method(
         args.method, ds_a, ds_b, settings,
-        chimeric_cfg=_chimeric_cfg(args), kang_cfg=_kang_cfg(args),
+        chimeric_cfg=_chimeric_cfg(args) if "chimeric" in args.method else None,
+        kang_cfg=_kang_cfg(args) if args.method == "kang" else None,
     )
     proposals_to_csv(res.proposals, args.out)
     n_acc = sum(p.accepted for p in res.proposals)

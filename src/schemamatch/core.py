@@ -47,7 +47,6 @@ class Dataset:
     values: np.ndarray
     features: tuple[FeatureMeta, ...]
     mapped_count: int = 0
-    missing_mask: np.ndarray | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -65,8 +64,6 @@ class Dataset:
             raise ValueError("mapped_count out of range")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite (impute before constructing)")
-        if self.missing_mask is not None and self.missing_mask.shape != vals.shape:
-            raise ValueError("missing_mask shape mismatch")
 
     @property
     def n_rows(self) -> int:
@@ -98,9 +95,7 @@ class Dataset:
         return self.values[:, self.index_of(name)]
 
     def subset_rows(self, idx: Sequence[int]) -> "Dataset":
-        idx = np.asarray(idx, dtype=int)
-        mask = self.missing_mask[idx] if self.missing_mask is not None else None
-        return replace(self, values=self.values[idx], missing_mask=mask)
+        return replace(self, values=self.values[np.asarray(idx, dtype=int)])
 
 
 @dataclass(frozen=True)
@@ -267,13 +262,11 @@ def one_hot_encode(table: RawTable, dataset_name: str | None = None) -> Dataset:
     n = table.n_rows
     out_cols: list[np.ndarray] = []
     metas: list[FeatureMeta] = []
-    mask_cols: list[np.ndarray] = []
     for j, col in enumerate(table.columns):
         vals = table.column_cells(j)
         if any(v is None for v in vals):
             raise ValueError(f"column {col!r} has missing cells; impute first")
         kind = _column_kind(vals)
-        miss = np.zeros(n, dtype=bool)
         if kind == "categorical":
             levels = sorted({str(v) for v in vals})
             if len(levels) == 1:
@@ -287,17 +280,14 @@ def one_hot_encode(table: RawTable, dataset_name: str | None = None) -> Dataset:
                         parent=col, level=lev,
                     )
                 )
-                mask_cols.append(miss)
         else:
             out_cols.append(np.array([float(v) for v in vals], dtype=np.float64))
             metas.append(FeatureMeta(name=col, kind=kind))
-            mask_cols.append(miss)
     values = np.column_stack(out_cols) if out_cols else np.zeros((n, 0))
     return Dataset(
         name=dataset_name or table.name,
         values=values,
         features=tuple(metas),
-        missing_mask=np.column_stack(mask_cols) if mask_cols else None,
     )
 
 
@@ -341,13 +331,11 @@ def reorder_mapped_first(
         if pos < len(mapped) and weights and meta.name in weights:
             meta = replace(meta, certainty_weight=float(weights[meta.name]))
         feats.append(meta)
-    mask = ds.missing_mask[:, order] if ds.missing_mask is not None else None
     return Dataset(
         name=ds.name,
         values=ds.values[:, order],
         features=tuple(feats),
         mapped_count=len(mapped),
-        missing_mask=mask,
     )
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import entropy, mutual_information
+from .stats import discretize, entropy_codes, mutual_information_codes
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,13 @@ def mi_matrix(values: np.ndarray, bins: int = 8) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError("values must be 2-D")
-    p = values.shape[1]
+    codes = [discretize(col, bins) for col in values.T]  # bin each column once
+    p = len(codes)
     out = np.zeros((p, p))
     for i in range(p):
-        out[i, i] = entropy(values[:, i], bins=bins)
+        out[i, i] = entropy_codes(codes[i])
         for j in range(i + 1, p):
-            mi = mutual_information(values[:, i], values[:, j], bins=bins)
+            mi = mutual_information_codes(codes[i], codes[j])
             out[i, j] = mi
             out[j, i] = mi
     return out

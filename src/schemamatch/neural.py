@@ -228,6 +228,28 @@ class PlateauScheduler:
         return self.lr
 
 
+def mlp_arrays(mlp: Mlp, prefix: str = "") -> dict[str, np.ndarray]:
+    """One network's parameters as checkpoint arrays named
+    `{prefix}w{i}` / `{prefix}b{i}`, in layer order."""
+    arrays = {}
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        arrays[f"{prefix}w{i}"] = w
+        arrays[f"{prefix}b{i}"] = b
+    return arrays
+
+
+def load_mlp_arrays(mlp: Mlp, data, prefix: str = "") -> None:
+    """Replace a network's parameters with arrays written by mlp_arrays; every
+    weight and bias shape is validated against the network's architecture."""
+    for i in range(len(mlp.weights)):
+        w = data[f"{prefix}w{i}"]
+        b = data[f"{prefix}b{i}"]
+        if w.shape != mlp.weights[i].shape or b.shape != mlp.biases[i].shape:
+            raise ValueError(f"checkpoint {prefix}layer {i} shape mismatch")
+        mlp.weights[i] = w.astype(np.float64)
+        mlp.biases[i] = b.astype(np.float64)
+
+
 def save_mlp(mlp: Mlp, path) -> None:
     """Serialize architecture and parameters to an .npz checkpoint."""
     meta = json.dumps(
@@ -238,11 +260,8 @@ def save_mlp(mlp: Mlp, path) -> None:
             "dropout_rate": mlp.dropout_rate,
         }
     )
-    arrays = {"meta": np.frombuffer(meta.encode(), dtype=np.uint8)}
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-    np.savez(path, **arrays)
+    np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8),
+             **mlp_arrays(mlp))
 
 
 def load_mlp(path) -> Mlp:
@@ -255,11 +274,5 @@ def load_mlp(path) -> Mlp:
             dropout_sites=meta["dropout_sites"],
             dropout_rate=meta["dropout_rate"],
         )
-        for i in range(len(mlp.weights)):
-            w = data[f"w{i}"]
-            b = data[f"b{i}"]
-            if w.shape != mlp.weights[i].shape or b.shape != mlp.biases[i].shape:
-                raise ValueError(f"checkpoint layer {i} shape mismatch")
-            mlp.weights[i] = w.astype(np.float64)
-            mlp.biases[i] = b.astype(np.float64)
+        load_mlp_arrays(mlp, data)
     return mlp

@@ -116,8 +116,9 @@ def _chimeric_stage(
     settings: MatchSettings,
 ):
     """Train the paired autoencoders, match the unmapped blocks on translated
-    correlations, and filter on hold-out rows. Returns (proposals, model)."""
-    k = ds_a.mapped_count
+    correlations, and filter on hold-out rows. Returns (proposals, model).
+    The source side's columns are scored against the translation of its rows:
+    A against A->B, or B against B->A with flip_translation."""
     tr_a, ho_a = split_rows(ds_a.n_rows, settings.holdout_fraction, settings.split_seed)
     tr_b, ho_b = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
     a_train, a_hold = ds_a.subset_rows(tr_a), ds_a.subset_rows(ho_a)
@@ -125,33 +126,24 @@ def _chimeric_stage(
     model = chimeric_mod.train(a_train, b_train, cfg)
     if not ds_a.unmapped_names or not ds_b.unmapped_names:
         return [], model
-    if settings.flip_translation:
-        z_train = chimeric_mod.translate(model, b_train.values, "b_to_a")
-        sim_full = chimeric_mod.chimeric_dependence(
-            b_train, z_train, model.features_a, measure=settings.measure
-        )
-        sub = sim_full.submatrix(ds_b.unmapped_names, ds_a.unmapped_names)
-        raw = gale_shapley(sub, direction=settings.direction)
-        z_hold = chimeric_mod.translate(model, b_hold.values, "b_to_a")
-        scored = holdout_filter(
-            raw, b_hold.values, b_hold.feature_names, z_hold,
-            list(model.features_a), q=settings.fdr_q,
-        )
-        proposals = [
-            replace(p, feature_a=p.feature_b, feature_b=p.feature_a) for p in scored
-        ]
-    else:
-        z_train = chimeric_mod.translate(model, a_train.values, "a_to_b")
-        sim_full = chimeric_mod.chimeric_dependence(
-            a_train, z_train, model.features_b, measure=settings.measure
-        )
-        sub = sim_full.submatrix(ds_a.unmapped_names, ds_b.unmapped_names)
-        raw = gale_shapley(sub, direction=settings.direction)
-        z_hold = chimeric_mod.translate(model, a_hold.values, "a_to_b")
-        proposals = holdout_filter(
-            raw, a_hold.values, a_hold.feature_names, z_hold,
-            list(model.features_b), q=settings.fdr_q,
-        )
+    flip = settings.flip_translation
+    src, src_train, src_hold, dst = ((ds_b, b_train, b_hold, ds_a) if flip
+                                     else (ds_a, a_train, a_hold, ds_b))
+    direction = "b_to_a" if flip else "a_to_b"
+    z_train = chimeric_mod.translate(model, src_train.values, direction)
+    sim_full = chimeric_mod.chimeric_dependence(
+        src_train, z_train, dst.feature_names, measure=settings.measure
+    )
+    sub = sim_full.submatrix(src.unmapped_names, dst.unmapped_names)
+    raw = gale_shapley(sub, direction=settings.direction)
+    z_hold = chimeric_mod.translate(model, src_hold.values, direction)
+    proposals = holdout_filter(
+        raw, src_hold.values, src_hold.feature_names, z_hold,
+        dst.feature_names, q=settings.fdr_q,
+    )
+    if flip:
+        proposals = [replace(p, feature_a=p.feature_b, feature_b=p.feature_a)
+                     for p in proposals]
     return proposals, model
 
 
@@ -502,37 +494,43 @@ def run_replicate(cfg: ExperimentConfig, value, vi: int, trial: int, perm: int,
     return scenario, out
 
 
-def run_benchmark(cfg: ExperimentConfig, out_dir) -> dict[str, str]:
-    """Run the full replicated sweep and write results.csv, summary.csv,
-    wilcoxon.csv, and manifest.json. Output is byte-stable for a fixed config."""
-    os.makedirs(out_dir, exist_ok=True)
-    needs_cov = cfg.family != "independent_gaussian"
+def iter_replicates(cfg: ExperimentConfig):
+    """Run every replicate of a config in canonical order (sweep value, then
+    trial, then permutation) and yield (value, trial, perm, results), where
+    results is run_replicate's {method: (MethodResult, EvalReport, error)}."""
     cov = None
-    if needs_cov:
+    if cfg.family != "independent_gaussian":
         cov_seed = derive_seed(cfg.master_seed, 0, 0, 0, _ROLE_COV)
         cov = make_covariance(CovarianceSpec(cfg.dim, cfg.factor_dim, seed=cov_seed))
-
-    rows = []
     for vi, value in enumerate(cfg.sweep_values):
         for trial in range(cfg.n_trials):
             for perm in range(cfg.n_perms):
                 _, results = run_replicate(cfg, value, vi, trial, perm, cov)
-                for method in cfg.methods:
-                    res, rep, err = results[method]
-                    rows.append(
-                        {
-                            "sweep": cfg.sweep,
-                            "value": value,
-                            "trial": trial,
-                            "perm": perm,
-                            "method": method,
-                            "tp": rep.tp if rep else "",
-                            "fp": rep.fp if rep else "",
-                            "fn": rep.fn if rep else "",
-                            "f1": f"{rep.f1:.6f}" if rep else "",
-                            "error": err,
-                        }
-                    )
+                yield value, trial, perm, results
+
+
+def run_benchmark(cfg: ExperimentConfig, out_dir) -> dict[str, str]:
+    """Run the full replicated sweep and write results.csv, summary.csv,
+    wilcoxon.csv, and manifest.json. Output is byte-stable for a fixed config."""
+    os.makedirs(out_dir, exist_ok=True)
+    rows = []
+    for value, trial, perm, results in iter_replicates(cfg):
+        for method in cfg.methods:
+            res, rep, err = results[method]
+            rows.append(
+                {
+                    "sweep": cfg.sweep,
+                    "value": value,
+                    "trial": trial,
+                    "perm": perm,
+                    "method": method,
+                    "tp": rep.tp if rep else "",
+                    "fp": rep.fp if rep else "",
+                    "fn": rep.fn if rep else "",
+                    "f1": f"{rep.f1:.6f}" if rep else "",
+                    "error": err,
+                }
+            )
 
     results_path = os.path.join(out_dir, "results.csv")
     with open(results_path, "w", newline="") as fh:

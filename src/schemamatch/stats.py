@@ -86,9 +86,11 @@ def by_stepdown(pvalues, q: float = 0.05) -> np.ndarray:
     return mask
 
 
-def _discretize(x: np.ndarray, bins: int) -> np.ndarray:
+def discretize(x: np.ndarray, bins: int) -> np.ndarray:
     """Integer codes for MI: binary columns keep their natural levels, continuous
     columns get quantile bins (tied quantiles collapse)."""
+    if bins < 2:
+        raise ValueError("bins must be >= 2")
     uniq = np.unique(x)
     if uniq.size <= 2:
         codes = np.searchsorted(uniq, x)
@@ -100,22 +102,15 @@ def _discretize(x: np.ndarray, bins: int) -> np.ndarray:
     return codes
 
 
-def mutual_information(x, y, bins: int = 8) -> float:
-    """Plug-in mutual information (natural log) on quantile-binned values."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("mutual_information expects two equal-length 1-D arrays")
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
-    cx = _discretize(x, bins)
-    cy = _discretize(y, bins)
+def mutual_information_codes(cx: np.ndarray, cy: np.ndarray) -> float:
+    """Plug-in mutual information (natural log) of two equal-length code
+    vectors from discretize."""
     kx = int(cx.max()) + 1
     ky = int(cy.max()) + 1
     if kx < 2 or ky < 2:
         return 0.0  # constant column carries no information
     joint = np.bincount(cx * ky + cy, minlength=kx * ky).astype(np.float64)
-    joint = joint.reshape(kx, ky) / x.size
+    joint = joint.reshape(kx, ky) / cx.size
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     nz = joint > 0
@@ -124,13 +119,25 @@ def mutual_information(x, y, bins: int = 8) -> float:
     return max(0.0, mi)
 
 
-def entropy(x, bins: int = 8) -> float:
-    """Plug-in entropy (natural log) of the discretized column."""
-    x = np.asarray(x, dtype=np.float64)
-    codes = _discretize(x, bins)
-    p = np.bincount(codes).astype(np.float64) / x.size
+def entropy_codes(codes: np.ndarray) -> float:
+    """Plug-in entropy (natural log) of a code vector from discretize."""
+    p = np.bincount(codes).astype(np.float64) / codes.size
     p = p[p > 0]
     return max(0.0, float(-np.sum(p * np.log(p))))
+
+
+def mutual_information(x, y, bins: int = 8) -> float:
+    """Plug-in mutual information (natural log) on quantile-binned values."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("mutual_information expects two equal-length 1-D arrays")
+    return mutual_information_codes(discretize(x, bins), discretize(y, bins))
+
+
+def entropy(x, bins: int = 8) -> float:
+    """Plug-in entropy (natural log) of the discretized column."""
+    return entropy_codes(discretize(np.asarray(x, dtype=np.float64), bins))
 
 
 def wilcoxon_ranksum(a, b) -> tuple[float, float]:

@@ -33,7 +33,7 @@ from schemamatch.pipeline import (
     _ROLE_TRIAL,
     ExperimentConfig,
     derive_seed,
-    run_replicate,
+    iter_replicates,
     split_rows,
     withheld_truth,
 )
@@ -69,24 +69,17 @@ def _run_grid(cfg: ExperimentConfig):
     Returns (per-method pooled f1 list, per-method {value: [f1]}, failures).
     Failed replicates contribute 0.0 and an entry in failures.
     """
-    cov = None
-    if cfg.family != "independent_gaussian":
-        cov_seed = derive_seed(cfg.master_seed, 0, 0, 0, _ROLE_COV)
-        cov = make_covariance(CovarianceSpec(cfg.dim, cfg.factor_dim, seed=cov_seed))
     pooled: dict[str, list[float]] = {m: [] for m in cfg.methods}
     by_value: dict[str, dict] = {m: {v: [] for v in cfg.sweep_values} for m in cfg.methods}
     failures: list[str] = []
-    for vi, value in enumerate(cfg.sweep_values):
-        for trial in range(cfg.n_trials):
-            for perm in range(cfg.n_perms):
-                _, results = run_replicate(cfg, value, vi, trial, perm, cov)
-                for method in cfg.methods:
-                    _, rep, err = results[method]
-                    f1 = rep.f1 if rep is not None else 0.0
-                    if err:
-                        failures.append(f"{method}@{value}/{trial}/{perm}: {err}")
-                    pooled[method].append(f1)
-                    by_value[method][value].append(f1)
+    for value, trial, perm, results in iter_replicates(cfg):
+        for method in cfg.methods:
+            _, rep, err = results[method]
+            f1 = rep.f1 if rep is not None else 0.0
+            if err:
+                failures.append(f"{method}@{value}/{trial}/{perm}: {err}")
+            pooled[method].append(f1)
+            by_value[method][value].append(f1)
     return pooled, by_value, failures
 
 

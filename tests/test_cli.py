@@ -51,6 +51,21 @@ def test_synth_match_eval_round_trip(tmp_path, capsys):
     assert out_path.read_text().strip() == shown
 
 
+@pytest.mark.parametrize("method, config", [
+    ("kang", {"iterations": 200, "metric": "normal"}),
+    ("chimeric", {"latent_dim": 2, "hidden": [6, 3], "epochs": 2}),
+])
+def test_match_reads_method_config(tmp_path, method, config):
+    d = _synth(tmp_path, seed=6)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    props_path = tmp_path / "proposals.csv"
+    rc = main(["match", *_pair_args(d), "--normalize", "--method", method,
+               "--config", str(cfg_path), "--out", str(props_path)])
+    assert rc == 0
+    assert proposals_from_csv(props_path)
+
+
 def test_translate_writes_rows_and_model(tmp_path):
     d = _synth(tmp_path, seed=4)
     cfg_path = tmp_path / "cfg.json"

@@ -33,13 +33,15 @@ def euclidean_objective(mi_a, mi_b, pi):
 
 def test_mi_matrix_entries():
     x = _factor_data(400, 4, seed=0)
+    binary = (x[:, 0] > 0).astype(np.float64)
+    constant = np.full(400, 3.0)
+    x = np.column_stack([x, binary, constant])
     m = mi_matrix(x, bins=6)
     assert np.array_equal(m, m.T)
-    for i in range(4):
-        assert m[i, i] == pytest.approx(entropy(x[:, i], bins=6), abs=1e-12)
-        for j in range(i + 1, 4):
-            assert m[i, j] == pytest.approx(
-                mutual_information(x[:, i], x[:, j], bins=6), abs=1e-12)
+    for i in range(6):
+        assert m[i, i] == entropy(x[:, i], bins=6)
+        for j in range(i + 1, 6):
+            assert m[i, j] == mutual_information(x[:, i], x[:, j], bins=6)
 
 
 def test_mi_matrix_needs_2d():

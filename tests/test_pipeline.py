@@ -3,11 +3,12 @@ driver."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from schemamatch.chimeric import ChimericConfig
+from schemamatch.chimeric import ChimericConfig, translate
 from schemamatch.core import ScenarioSpec
 from schemamatch.kang import KangConfig
 from schemamatch.matcher import MatchProposal
@@ -19,12 +20,14 @@ from schemamatch.pipeline import (
     run_benchmark,
     run_kang,
     run_method,
+    run_chimeric,
     run_replicate,
     run_two_stage,
     split_rows,
     tune_hyperparams,
     withheld_truth,
 )
+from schemamatch.stats import pearson
 from schemamatch.synthgen import GeneratorSpec, build_scenario, sample
 from helpers import correlated_pair
 
@@ -199,6 +202,33 @@ def test_run_two_stage_structure():
     promoted_a = {p.feature_a for p in res.promoted}
     for p in res.proposals[n_promoted:]:
         assert p.feature_a not in promoted_a
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_run_chimeric_translation_direction(flip):
+    ds_a, ds_b = correlated_pair(300, 6, 2, seed=14)
+    ds_b = replace(ds_b, features=tuple(
+        replace(f, name=f"b_{f.name}") for f in ds_b.features))
+    settings = MatchSettings(split_seed=3, flip_translation=flip)
+    cfg = ChimericConfig(latent_dim=2, hidden=(8, 4), epochs=2, lr=1e-3, seed=2)
+    res = run_chimeric(ds_a, ds_b, cfg, settings)
+    assert res.proposals
+    for p in res.proposals:
+        assert p.feature_a in ds_a.unmapped_names
+        assert p.feature_b in ds_b.unmapped_names
+    # the hold-out statistic correlates the source side's raw column with the
+    # translation of the source side's hold-out rows at the partner's column
+    if flip:
+        src, dst, seed, direction = ds_b, ds_a, settings.split_seed + 1, "b_to_a"
+    else:
+        src, dst, seed, direction = ds_a, ds_b, settings.split_seed, "a_to_b"
+    _, hold = split_rows(src.n_rows, settings.holdout_fraction, seed)
+    src_hold = src.values[hold]
+    z_hold = translate(res.model, src_hold, direction)
+    for p in res.proposals:
+        own, other = (p.feature_b, p.feature_a) if flip else (p.feature_a, p.feature_b)
+        assert p.holdout_stat == pearson(src_hold[:, src.index_of(own)],
+                                         z_hold[:, dst.index_of(other)])
 
 
 def test_run_method_dispatch_and_unknown():

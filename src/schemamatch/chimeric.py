@@ -9,11 +9,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, from_dict
 from .neural import Adam, Mlp, PlateauScheduler, load_mlp_arrays, mlp_arrays
 from .stats import SimilarityMatrix, discretize, mutual_information_codes, pearson_matrix
 
@@ -50,13 +50,6 @@ class ChimericConfig:
             raise ValueError("hidden must be two positive widths")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
-
-    @staticmethod
-    def from_dict(d: dict) -> "ChimericConfig":
-        d = dict(d)
-        if "hidden" in d:
-            d["hidden"] = tuple(d["hidden"])
-        return ChimericConfig(**d)
 
 
 @dataclass
@@ -369,14 +362,7 @@ def reconstruct_unshared(
 def save_model(model: ChimericModel, path) -> None:
     meta = json.dumps(
         {
-            "config": {
-                **{k: getattr(model.config, k) for k in (
-                    "latent_dim", "dropout", "activation", "latent_activation",
-                    "output_activation", "batch_size", "epochs", "lr",
-                    "weight_decay", "w_cross", "w_cycle", "w_orth",
-                    "lr_factor", "lr_patience", "seed")},
-                "hidden": list(model.config.hidden),
-            },
+            "config": asdict(model.config),
             "features_a": list(model.features_a),
             "features_b": list(model.features_b),
             "mapped_count": model.mapped_count,
@@ -387,7 +373,6 @@ def save_model(model: ChimericModel, path) -> None:
     for tag, net in (("ea", model.encoder_a), ("da", model.decoder_a),
                      ("eb", model.encoder_b), ("db", model.decoder_b)):
         arrays.update(mlp_arrays(net, f"{tag}_"))
-        arrays[f"{tag}_sizes"] = np.array(net.sizes)
     for tag, scaler in (("sa", model.scaler_a), ("sb", model.scaler_b)):
         if scaler is not None:
             arrays[f"{tag}_mean"] = scaler.mean
@@ -398,17 +383,10 @@ def save_model(model: ChimericModel, path) -> None:
 def load_model(path) -> ChimericModel:
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
-        cfg = ChimericConfig.from_dict(meta["config"])
-        nets = {}
-        for tag in ("ea", "da", "eb", "db"):
-            sizes = [int(s) for s in data[f"{tag}_sizes"]]
-            acts = ([cfg.activation, cfg.activation, cfg.latent_activation]
-                    if tag.startswith("e")
-                    else [cfg.activation, cfg.activation, cfg.output_activation])
-            sites = (1,) if tag.startswith("e") else (0,)
-            net = Mlp(sizes, acts, dropout_sites=sites, dropout_rate=cfg.dropout)
+        cfg = from_dict(ChimericConfig, meta["config"])
+        nets = _build_networks(len(meta["features_a"]), len(meta["features_b"]), cfg)
+        for tag, net in zip(("ea", "da", "eb", "db"), nets):
             load_mlp_arrays(net, data, f"{tag}_")
-            nets[tag] = net
         scalers = {}
         for tag in ("sa", "sb"):
             if f"{tag}_mean" in data:
@@ -417,8 +395,7 @@ def load_model(path) -> ChimericModel:
                     std=data[f"{tag}_std"].astype(np.float64),
                 )
     return ChimericModel(
-        encoder_a=nets["ea"], decoder_a=nets["da"],
-        encoder_b=nets["eb"], decoder_b=nets["db"],
+        *nets,
         config=cfg,
         features_a=tuple(meta["features_a"]),
         features_b=tuple(meta["features_b"]),

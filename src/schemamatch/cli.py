@@ -15,6 +15,7 @@ from . import chimeric as chimeric_mod
 from . import kang as kang_mod
 from .core import (
     ScenarioSpec,
+    from_dict,
     load_dataset,
     unit_norm,
     write_dataset_csv,
@@ -39,16 +40,11 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _chimeric_cfg(args) -> chimeric_mod.ChimericConfig:
+def _method_cfg(cls, args):
+    """The --config file as a `cls` instance, or the defaults seeded by --seed."""
     if getattr(args, "config", None):
-        return chimeric_mod.ChimericConfig.from_dict(_load_json(args.config))
-    return chimeric_mod.ChimericConfig(seed=getattr(args, "seed", 0))
-
-
-def _kang_cfg(args) -> kang_mod.KangConfig:
-    if getattr(args, "config", None):
-        return kang_mod.KangConfig(**_load_json(args.config))
-    return kang_mod.KangConfig(seed=getattr(args, "seed", 0))
+        return from_dict(cls, _load_json(args.config))
+    return cls(seed=getattr(args, "seed", 0))
 
 
 def _cmd_synth(args) -> int:
@@ -97,8 +93,9 @@ def _cmd_match(args) -> int:
     # --config holds the chosen method's config; build only the one it reads
     res = run_method(
         args.method, ds_a, ds_b, settings,
-        chimeric_cfg=_chimeric_cfg(args) if "chimeric" in args.method else None,
-        kang_cfg=_kang_cfg(args) if args.method == "kang" else None,
+        chimeric_cfg=(_method_cfg(chimeric_mod.ChimericConfig, args)
+                      if "chimeric" in args.method else None),
+        kang_cfg=_method_cfg(kang_mod.KangConfig, args) if args.method == "kang" else None,
     )
     proposals_to_csv(res.proposals, args.out)
     n_acc = sum(p.accepted for p in res.proposals)
@@ -110,7 +107,7 @@ def _cmd_translate(args) -> int:
     import csv as csv_mod
 
     ds_a, ds_b = _load_pair(args)
-    cfg = _chimeric_cfg(args)
+    cfg = _method_cfg(chimeric_mod.ChimericConfig, args)
     model = chimeric_mod.train(ds_a, ds_b, cfg)
     src = ds_a if args.direction == "a_to_b" else ds_b
     z = chimeric_mod.translate(model, src.values, args.direction)
@@ -144,10 +141,8 @@ def _cmd_eval(args) -> int:
 def _cmd_tune(args) -> int:
     ds_a, ds_b = _load_pair(args)
     grid_raw = _load_json(args.grid)
-    if args.method == "kang":
-        grid = [kang_mod.KangConfig(**g) for g in grid_raw]
-    else:
-        grid = [chimeric_mod.ChimericConfig.from_dict(g) for g in grid_raw]
+    cls = kang_mod.KangConfig if args.method == "kang" else chimeric_mod.ChimericConfig
+    grid = [from_dict(cls, g) for g in grid_raw]
     result = tune_hyperparams(
         ds_a, ds_b, grid, protocol=args.protocol, folds=args.folds,
         method=args.method, seed=args.seed,
@@ -167,7 +162,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = ExperimentConfig.from_dict(_load_json(args.config))
+    cfg = from_dict(ExperimentConfig, _load_json(args.config))
     paths = run_benchmark(cfg, args.out)
     for key, path in paths.items():
         log.info("%s: %s", key, path)

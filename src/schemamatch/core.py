@@ -5,8 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -129,45 +129,35 @@ class ScenarioSpec:
             raise ValueError("a feature may be transformed at most once")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "map_kind": self.map_kind,
-                "gold_map": [list(p) for p in self.gold_map],
-                "transformed_features": [list(p) for p in self.transformed_features],
-                "seed": self.seed,
-                "perm_seed": self.perm_seed,
-                "trial": self.trial,
-                "perm": self.perm,
-                "mapped": list(self.mapped),
-                "features_a": list(self.features_a),
-                "features_b": list(self.features_b),
-                "dropped_from_a": list(self.dropped_from_a),
-                "dropped_from_b": list(self.dropped_from_b),
-                "rows_a": list(self.rows_a),
-                "rows_b": list(self.rows_b),
-            },
-            indent=1,
-        )
+        return json.dumps(asdict(self), indent=1)
 
     @staticmethod
     def from_json(text: str) -> "ScenarioSpec":
-        d = json.loads(text)
-        return ScenarioSpec(
-            map_kind=d["map_kind"],
-            gold_map=tuple(tuple(p) for p in d["gold_map"]),
-            transformed_features=tuple(tuple(p) for p in d.get("transformed_features", [])),
-            seed=d.get("seed", 0),
-            perm_seed=d.get("perm_seed"),
-            trial=d.get("trial", 0),
-            perm=d.get("perm", 0),
-            mapped=tuple(d.get("mapped", [])),
-            features_a=tuple(d.get("features_a", [])),
-            features_b=tuple(d.get("features_b", [])),
-            dropped_from_a=tuple(d.get("dropped_from_a", [])),
-            dropped_from_b=tuple(d.get("dropped_from_b", [])),
-            rows_a=tuple(d.get("rows_a", [])),
-            rows_b=tuple(d.get("rows_b", [])),
-        )
+        return from_dict(ScenarioSpec, json.loads(text))
+
+
+def from_dict(cls, d):
+    """Build the dataclass `cls` from a decoded JSON object, the inverse of
+    `dataclasses.asdict`: nested objects become their field's dataclass, lists
+    become (nested) tuples for tuple-typed fields, and absent fields keep their
+    defaults. An unknown key or a non-object value is a ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    hints = get_type_hints(cls)
+    return cls(**{key: _decode(hints[key], value) for key, value in d.items()})
+
+
+def _decode(tp, value):
+    if is_dataclass(tp):
+        return from_dict(tp, value)
+    if (tp is tuple or get_origin(tp) is tuple) and isinstance(value, list):
+        args = get_args(tp)  # only tuple[X, ...] items are decoded further
+        item = args[0] if args[1:] == (Ellipsis,) else None
+        return tuple(_decode(item, v) for v in value)
+    return value
 
 
 @dataclass
@@ -204,7 +194,8 @@ def _parse_cell(text: str):
 
 
 def read_table(path, name: str | None = None) -> RawTable:
-    """Read a delimited text file with a header row into a RawTable."""
+    """Read a delimited text file with a header row into a RawTable. A
+    non-finite number (such as `inf`) is an error naming its line and column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
@@ -212,7 +203,14 @@ def read_table(path, name: str | None = None) -> RawTable:
         raise ValueError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
     cells = [[_parse_cell(c) for c in row] for row in rows[1:]]
-    return RawTable(name=name or str(path), columns=header, cells=cells)
+    table = RawTable(name=name or str(path), columns=header, cells=cells)
+    for j, col in enumerate(header):
+        nums = np.array([v if isinstance(v, float) else 0.0 for v in table.column_cells(j)])
+        bad = np.flatnonzero(~np.isfinite(nums))
+        if bad.size:  # CSV line 1 is the header
+            raise ValueError(f"{path}: line {bad[0] + 2}, column {col!r}: "
+                             f"non-finite value {nums[bad[0]]}")
+    return table
 
 
 def _column_kind(values: list[object]) -> str:
@@ -228,8 +226,9 @@ def _column_kind(values: list[object]) -> str:
 
 def impute_simple(table: RawTable) -> RawTable:
     """Fill missing cells: continuous columns by the mean, binary and categorical
-    columns by the mode (ties broken by sorted order). A fully missing column is an
-    error. Returns a completed table; the original is not modified."""
+    columns by the mode (ties broken toward numbers before strings, each in sorted
+    order). A fully missing column is an error. Returns a completed table; the
+    original is not modified."""
     n = table.n_rows
     filled = [list(row) for row in table.cells]
     for j, col in enumerate(table.columns):
@@ -245,7 +244,8 @@ def impute_simple(table: RawTable) -> RawTable:
             for v in observed:
                 counts[v] = counts.get(v, 0) + 1
             top = max(counts.values())
-            fill = sorted(k for k, c in counts.items() if c == top)[0]
+            tied = [k for k, c in counts.items() if c == top]
+            fill = min(tied, key=lambda v: (isinstance(v, str), v))
         for i in range(n):
             if filled[i][j] is None:
                 filled[i][j] = fill

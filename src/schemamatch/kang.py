@@ -58,12 +58,21 @@ def mi_matrix(values: np.ndarray, bins: int = 8) -> np.ndarray:
     return out
 
 
-def _knockoff_pad(values: np.ndarray, count: int, rng, bins: int) -> np.ndarray:
-    """Extend a database with `count` shuffled copies of randomly chosen real
-    columns and return the enlarged MI matrix."""
-    n, p = values.shape
-    sources = rng.integers(0, p, size=count)
-    extra = np.empty((n, count))
+def _knockoff_pad(side: str, mi: np.ndarray, data, width: int, rng, bins: int) -> np.ndarray:
+    """Extend database `side` ("a" or "b") to `width` columns with shuffled
+    copies of randomly chosen real columns and return the enlarged MI matrix;
+    a side already `width` wide is returned as is, without drawing from rng."""
+    p = mi.shape[0]
+    if p == width:
+        return mi
+    if data is None:
+        raise ValueError(f"padding {side.upper()} with knock-offs requires data_{side}")
+    values = np.asarray(data, dtype=np.float64)
+    if values.shape[1] != p:
+        raise ValueError(f"data_{side} width does not match mi_{side}")
+    n = values.shape[0]
+    sources = rng.integers(0, p, size=width - p)
+    extra = np.empty((n, width - p))
     for t, src in enumerate(sources):
         extra[:, t] = values[rng.permutation(n), src]
     return mi_matrix(np.hstack([values, extra]), bins=bins)
@@ -120,21 +129,9 @@ def kang_match(
     n_real_b = mi_b.shape[0]
     rng = np.random.default_rng(cfg.seed)
 
-    if n_real_a < n_real_b:
-        if data_a is None:
-            raise ValueError("padding A with knock-offs requires data_a")
-        if np.asarray(data_a).shape[1] != n_real_a:
-            raise ValueError("data_a width does not match mi_a")
-        mi_a = _knockoff_pad(np.asarray(data_a, dtype=np.float64),
-                             n_real_b - n_real_a, rng, cfg.bins)
-    elif n_real_b < n_real_a:
-        if data_b is None:
-            raise ValueError("padding B with knock-offs requires data_b")
-        if np.asarray(data_b).shape[1] != n_real_b:
-            raise ValueError("data_b width does not match mi_b")
-        mi_b = _knockoff_pad(np.asarray(data_b, dtype=np.float64),
-                             n_real_a - n_real_b, rng, cfg.bins)
-    p = mi_a.shape[0]
+    p = max(n_real_a, n_real_b)
+    mi_a = _knockoff_pad("a", mi_a, data_a, p, rng, cfg.bins)
+    mi_b = _knockoff_pad("b", mi_b, data_b, p, rng, cfg.bins)
 
     fixed_a = set()
     fixed_b = set()

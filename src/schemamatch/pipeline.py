@@ -415,23 +415,6 @@ class ExperimentConfig:
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
 
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "chimeric" in d:
-            d["chimeric"] = chimeric_mod.ChimericConfig.from_dict(d["chimeric"])
-        if "kang" in d:
-            d["kang"] = kang_mod.KangConfig(**d["kang"])
-        if "settings" in d:
-            s = dict(d["settings"])
-            if "promotion" in s:
-                s["promotion"] = PromotionPolicy(**s["promotion"])
-            d["settings"] = MatchSettings(**s)
-        for key in ("sweep_values", "methods"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return ExperimentConfig(**d)
-
 
 # role tags for seed derivation
 _ROLE_COV, _ROLE_DATA, _ROLE_TRIAL, _ROLE_PERM, _ROLE_SPLIT, _ROLE_NN, _ROLE_KANG = range(7)
@@ -580,7 +563,7 @@ def run_benchmark(cfg: ExperimentConfig, out_dir) -> dict[str, str]:
 
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w") as fh:
-        json.dump(_config_dict(cfg), fh, indent=1, sort_keys=True)
+        json.dump(asdict(cfg), fh, indent=1, sort_keys=True)
         fh.write("\n")
     return {
         "results": results_path,
@@ -589,10 +572,3 @@ def run_benchmark(cfg: ExperimentConfig, out_dir) -> dict[str, str]:
         "manifest": manifest_path,
     }
 
-
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["methods"] = list(cfg.methods)
-    d["sweep_values"] = list(cfg.sweep_values)
-    d["chimeric"]["hidden"] = list(cfg.chimeric.hidden)
-    return d

@@ -18,6 +18,7 @@ from schemamatch.chimeric import (
     train,
     translate,
 )
+from schemamatch.core import from_dict
 from schemamatch.neural import Mlp
 from schemamatch.stats import mutual_information, pearson
 from helpers import correlated_pair, make_dataset
@@ -74,7 +75,7 @@ def test_config_validation():
 def test_config_from_dict():
     cfg = ChimericConfig(latent_dim=3, hidden=(10, 5), lr=0.02)
     d = {"latent_dim": 3, "hidden": [10, 5], "lr": 0.02}
-    assert ChimericConfig.from_dict(d) == cfg
+    assert from_dict(ChimericConfig, d) == cfg
 
 
 # ---------------------------------------------------------------- losses

@@ -127,3 +127,24 @@ def test_failures_exit_nonzero(tmp_path):
     rc = main(["eval", "--proposals", str(tmp_path / "missing.csv"),
                "--scenario", str(tmp_path / "missing.json")])
     assert rc == 1
+
+
+def test_bench_rejects_misspelled_config_key(tmp_path, caplog):
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"methods": ["kmf"], "n_trial": 1}))
+    rc = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "bench")])
+    assert rc == 1
+    assert "n_trial" in caplog.text
+
+
+def test_match_rejects_non_finite_cell(tmp_path, caplog):
+    d = _synth(tmp_path)
+    lines = (d / "a.csv").read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[-1] = "inf"
+    lines[4] = ",".join(cells)
+    (d / "a.csv").write_text("\n".join(lines) + "\n")
+    column = lines[0].split(",")[-1]
+    rc = main(["match", *_pair_args(d), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    assert f"line 5, column '{column}'" in caplog.text

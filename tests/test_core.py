@@ -10,6 +10,7 @@ from schemamatch.core import (
     FeatureMeta,
     RawTable,
     ScenarioSpec,
+    from_dict,
     impute_simple,
     load_dataset,
     one_hot_encode,
@@ -88,6 +89,12 @@ def test_read_table_parses_and_flags_missing(tmp_path):
     assert t.cells[2] == [None, 8.0, "blue"]
 
 
+def test_load_dataset_names_non_finite_cell(tmp_path):
+    p = _write(tmp_path / "t.csv", "x,y\n1,2\n3,inf\n5,6\n")
+    with pytest.raises(ValueError, match=r"t\.csv: line 3, column 'y'"):
+        load_dataset(p)
+
+
 def test_read_table_empty_file(tmp_path):
     p = _write(tmp_path / "e.csv", "")
     with pytest.raises(ValueError):
@@ -105,9 +112,11 @@ def test_impute_simple_mean_and_mode():
     assert done.cells[2][0] == pytest.approx(2.0)  # mean of 1, 3, 2
     assert done.cells[1][1] == 0.0  # binary mode
     assert done.cells[3][2] == "u"  # categorical mode
-    # tie in the mode breaks toward sorted order
+    # tie in the mode breaks toward sorted order, numbers before strings
     tie = RawTable(name="t", columns=["c"], cells=[["b"], ["a"], [None], [None]])
     assert impute_simple(tie).cells[2][0] == "a"
+    mixed = RawTable(name="t", columns=["c"], cells=[["a"], [1.0], [None], ["b"]])
+    assert impute_simple(mixed).cells[2][0] == 1.0
 
 
 def test_impute_simple_all_missing_column():
@@ -224,6 +233,58 @@ def test_mapped_sidecar_weights(tmp_path):
 
 # ---------------------------------------------------------------- scenarios
 
+# the scenario.json text format, as written for the spec below
+SCENARIO_JSON = """\
+{
+ "map_kind": "partial",
+ "gold_map": [
+  [
+   "x",
+   "y"
+  ],
+  [
+   "u",
+   "v"
+  ]
+ ],
+ "transformed_features": [
+  [
+   "y",
+   "square"
+  ]
+ ],
+ "seed": 3,
+ "perm_seed": 9,
+ "trial": 0,
+ "perm": 0,
+ "mapped": [
+  "m0"
+ ],
+ "features_a": [
+  "m0",
+  "x",
+  "u"
+ ],
+ "features_b": [
+  "m0",
+  "y",
+  "v"
+ ],
+ "dropped_from_a": [
+  "d"
+ ],
+ "dropped_from_b": [],
+ "rows_a": [
+  0,
+  2
+ ],
+ "rows_b": [
+  1,
+  3
+ ]
+}"""
+
+
 def test_scenario_spec_round_trip():
     spec = ScenarioSpec(
         map_kind="partial",
@@ -240,6 +301,14 @@ def test_scenario_spec_round_trip():
     )
     back = ScenarioSpec.from_json(spec.to_json())
     assert back == spec
+    assert spec.to_json() == SCENARIO_JSON
+
+
+def test_scenario_from_json_rejects_unknown_key():
+    with pytest.raises(ValueError, match="unknown ScenarioSpec key.*gold_mpa"):
+        ScenarioSpec.from_json('{"map_kind": "onto", "gold_map": [], "gold_mpa": []}')
+    with pytest.raises(ValueError, match="ScenarioSpec must be a JSON object"):
+        from_dict(ScenarioSpec, [])
 
 
 def test_scenario_spec_validation():

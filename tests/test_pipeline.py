@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from schemamatch.chimeric import ChimericConfig, translate
-from schemamatch.core import ScenarioSpec
+from schemamatch.core import ScenarioSpec, from_dict
 from schemamatch.kang import KangConfig
+from schemamatch.kmf import PromotionPolicy
 from schemamatch.matcher import MatchProposal
 from schemamatch.pipeline import (
     ExperimentConfig,
@@ -287,6 +288,10 @@ def test_run_benchmark_smoke(tmp_path):
         name="smoke", family="independent_gaussian", dim=8, n_samples=400,
         sweep="k_mapped", sweep_values=(2, 3), methods=("kmf",),
         n_trials=1, n_perms=1, master_seed=9,
+        # non-default nested values, so the manifest round trip decodes them
+        chimeric=ChimericConfig(hidden=(12, 6)),
+        kang=KangConfig(metric="normal"),
+        settings=MatchSettings(promotion=PromotionPolicy(kind="top_fraction", value=0.25)),
     )
     paths = run_benchmark(cfg, tmp_path / "out")
     assert set(paths) == {"results", "summary", "wilcoxon", "manifest"}
@@ -312,4 +317,4 @@ def test_run_benchmark_smoke(tmp_path):
 
     with open(paths["manifest"]) as fh:
         stored = json.load(fh)
-    assert ExperimentConfig.from_dict(stored) == cfg
+    assert from_dict(ExperimentConfig, stored) == cfg

@@ -76,8 +76,8 @@ class ColumnScaler:
 
 @dataclass
 class ChimericModel:
-    """Four trained networks plus bookkeeping. Encoders share the latent width;
-    construction enforces it."""
+    """Four trained networks, the column scalers they were trained behind, and
+    bookkeeping. Encoders share the latent width; construction enforces it."""
 
     encoder_a: Mlp
     decoder_a: Mlp
@@ -87,8 +87,8 @@ class ChimericModel:
     features_a: tuple[str, ...]
     features_b: tuple[str, ...]
     mapped_count: int
-    scaler_a: ColumnScaler | None = None
-    scaler_b: ColumnScaler | None = None
+    scaler_a: ColumnScaler
+    scaler_b: ColumnScaler
     loss_trace: dict[str, list[float]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -300,11 +300,9 @@ def translate(model: ChimericModel, values: np.ndarray, direction: str = "a_to_b
         s_in, s_out = model.scaler_b, model.scaler_a
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    if s_in is not None:
-        values = s_in.transform(values)
-    lat, _ = enc.forward(values, train=False)
+    lat, _ = enc.forward(s_in.transform(values), train=False)
     out, _ = dec.forward(lat, train=False)
-    return s_out.inverse(out) if s_out is not None else out
+    return s_out.inverse(out)
 
 
 def chimeric_dependence(
@@ -374,9 +372,8 @@ def save_model(model: ChimericModel, path) -> None:
                      ("eb", model.encoder_b), ("db", model.decoder_b)):
         arrays.update(mlp_arrays(net, f"{tag}_"))
     for tag, scaler in (("sa", model.scaler_a), ("sb", model.scaler_b)):
-        if scaler is not None:
-            arrays[f"{tag}_mean"] = scaler.mean
-            arrays[f"{tag}_std"] = scaler.std
+        arrays[f"{tag}_mean"] = scaler.mean
+        arrays[f"{tag}_std"] = scaler.std
     np.savez(path, **arrays)
 
 
@@ -387,20 +384,18 @@ def load_model(path) -> ChimericModel:
         nets = _build_networks(len(meta["features_a"]), len(meta["features_b"]), cfg)
         for tag, net in zip(("ea", "da", "eb", "db"), nets):
             load_mlp_arrays(net, data, f"{tag}_")
-        scalers = {}
-        for tag in ("sa", "sb"):
-            if f"{tag}_mean" in data:
-                scalers[tag] = ColumnScaler(
-                    mean=data[f"{tag}_mean"].astype(np.float64),
-                    std=data[f"{tag}_std"].astype(np.float64),
-                )
+        scaler_a, scaler_b = (
+            ColumnScaler(mean=data[f"{tag}_mean"].astype(np.float64),
+                         std=data[f"{tag}_std"].astype(np.float64))
+            for tag in ("sa", "sb")
+        )
     return ChimericModel(
         *nets,
         config=cfg,
         features_a=tuple(meta["features_a"]),
         features_b=tuple(meta["features_b"]),
         mapped_count=meta["mapped_count"],
-        scaler_a=scalers.get("sa"),
-        scaler_b=scalers.get("sb"),
+        scaler_a=scaler_a,
+        scaler_b=scaler_b,
         loss_trace=meta["loss_trace"],
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -136,27 +136,47 @@ class ScenarioSpec:
         return from_dict(ScenarioSpec, json.loads(text))
 
 
+# JSON values each scalar field type accepts; a bool is only ever a bool
+_SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+
+
 def from_dict(cls, d):
     """Build the dataclass `cls` from a decoded JSON object, the inverse of
     `dataclasses.asdict`: nested objects become their field's dataclass, lists
     become (nested) tuples for tuple-typed fields, and absent fields keep their
-    defaults. An unknown key or a non-object value is a ValueError."""
+    defaults. An unknown key, a missing required field, a non-object value or
+    a mistyped scalar is a ValueError naming the class and field."""
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {cls.__name__} key(s): {', '.join(missing)}")
     hints = get_type_hints(cls)
-    return cls(**{key: _decode(hints[key], value) for key, value in d.items()})
+    return cls(**{k: _decode(hints[k], v, f"{cls.__name__}.{k}") for k, v in d.items()})
 
 
-def _decode(tp, value):
+def _decode(tp, value, where: str):
+    if type(None) in get_args(tp):  # X | None
+        if value is None:
+            return None
+        tp = get_args(tp)[0]
     if is_dataclass(tp):
         return from_dict(tp, value)
-    if (tp is tuple or get_origin(tp) is tuple) and isinstance(value, list):
-        args = get_args(tp)  # only tuple[X, ...] items are decoded further
-        item = args[0] if args[1:] == (Ellipsis,) else None
-        return tuple(_decode(item, v) for v in value)
+    if tp is tuple or get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {json.dumps(value)}")
+        args = get_args(tp)  # tuple[X, ...] or tuple[X, Y]; a bare tuple's items pass
+        items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
+        if len(items) != len(value):  # a bare tuple, or a wrong length the class rejects
+            items = (None,) * len(value)
+        return tuple(_decode(t, v, where) for t, v in zip(items, value))
+    if tp in _SCALARS and (isinstance(value, bool) != (tp is bool)
+                           or not isinstance(value, _SCALARS[tp])):
+        raise ValueError(f"{where} must be {tp.__name__}, got {json.dumps(value)}")
     return value
 
 

@@ -4,7 +4,6 @@ cosine similarity, and promote confident matches into the mapped prefix."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,11 +157,3 @@ def promote_matches(
         reorder_mapped_first(ds_b, new_b),
         promoted,
     )
-
-
-def fingerprints_to_csv(fps: list[Fingerprint], mapped_names, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature"] + list(mapped_names))
-        for fp in fps:
-            writer.writerow([fp.feature] + [f"{v:.10g}" for v in fp.vector])

@@ -8,13 +8,15 @@ chained (encoder/decoder compositions) by passing gradients through.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 _ACTIVATIONS = ("linear", "tanh", "relu", "sigmoid")
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+PLATEAU_THRESHOLD, PLATEAU_MIN_LR = 1e-4, 1e-6  # relative improvement; lr floor
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -53,10 +55,9 @@ class _LayerCache:
 class ForwardCache:
     """Per-application forward state consumed exactly once by backward."""
 
-    def __init__(self, layers: list[_LayerCache], version: int, train: bool):
+    def __init__(self, layers: list[_LayerCache], version: int):
         self.layers = layers
         self.version = version
-        self.train = train
 
 
 class Mlp:
@@ -135,7 +136,7 @@ class Mlp:
                 out = post * mask
             layers.append(_LayerCache(inputs=a, pre=pre, post=post, mask=mask))
             a = out
-        return a, ForwardCache(layers, self._version, train)
+        return a, ForwardCache(layers, self._version)
 
     def backward(self, cache: ForwardCache, grad_output):
         """Backpropagate d(loss)/d(output); returns (param_grads, grad_input).
@@ -170,13 +171,9 @@ class Mlp:
 class Adam:
     """Adam with optional additive weight decay (lambda * theta added to grads)."""
 
-    def __init__(self, params, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
+    def __init__(self, params, lr=1e-2, weight_decay=0.0):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
@@ -186,44 +183,43 @@ class Adam:
         if len(grads) != len(self.params):
             raise ValueError("gradient list length mismatch")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             if g.shape != p.shape:
                 raise ValueError("gradient shape mismatch")
             if self.weight_decay:
                 g = g + self.weight_decay * p
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 class PlateauScheduler:
-    """Multiply the learning rate by `factor` when the best loss has not improved
-    by a relative `threshold` for `patience` consecutive updates."""
+    """Multiply the learning rate by `factor`, down to PLATEAU_MIN_LR, when the
+    best loss has not improved by a relative PLATEAU_THRESHOLD for `patience`
+    consecutive updates."""
 
-    def __init__(self, lr, factor=0.5, patience=5, threshold=1e-4, min_lr=1e-6):
+    def __init__(self, lr, factor=0.5, patience=5):
         if not 0 < factor < 1:
             raise ValueError("factor must be in (0, 1)")
         self.lr = float(lr)
         self.factor = float(factor)
         self.patience = int(patience)
-        self.threshold = float(threshold)
-        self.min_lr = float(min_lr)
         self.best = math.inf
         self.bad_epochs = 0
 
     def update(self, loss: float) -> float:
         loss = float(loss)
-        if loss < self.best * (1.0 - self.threshold):
+        if loss < self.best * (1.0 - PLATEAU_THRESHOLD):
             self.best = loss
             self.bad_epochs = 0
         else:
             self.bad_epochs += 1
             if self.bad_epochs >= self.patience:
-                self.lr = max(self.lr * self.factor, self.min_lr)
+                self.lr = max(self.lr * self.factor, PLATEAU_MIN_LR)
                 self.bad_epochs = 0
         return self.lr
 
@@ -248,31 +244,3 @@ def load_mlp_arrays(mlp: Mlp, data, prefix: str = "") -> None:
             raise ValueError(f"checkpoint {prefix}layer {i} shape mismatch")
         mlp.weights[i] = w.astype(np.float64)
         mlp.biases[i] = b.astype(np.float64)
-
-
-def save_mlp(mlp: Mlp, path) -> None:
-    """Serialize architecture and parameters to an .npz checkpoint."""
-    meta = json.dumps(
-        {
-            "sizes": mlp.sizes,
-            "activations": mlp.activations,
-            "dropout_sites": list(mlp.dropout_sites),
-            "dropout_rate": mlp.dropout_rate,
-        }
-    )
-    np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8),
-             **mlp_arrays(mlp))
-
-
-def load_mlp(path) -> Mlp:
-    """Load a checkpoint; array shapes are validated against the stored sizes."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        mlp = Mlp(
-            meta["sizes"],
-            meta["activations"],
-            dropout_sites=meta["dropout_sites"],
-            dropout_rate=meta["dropout_rate"],
-        )
-        load_mlp_arrays(mlp, data)
-    return mlp

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -59,7 +58,7 @@ def pearson_pvalue(r: float, n: int) -> float:
 
 
 def by_stepdown(pvalues, q: float = 0.05) -> np.ndarray:
-    """Benjamini-Yekutieli step-down acceptance mask (original order).
+    """Benjamini-Yekutieli step-up acceptance mask (original order).
 
     With m p-values sorted ascending, accept hypotheses 1..i* where i* is the
     largest i such that p_(i) <= i * q / (m * c(m)) and c(m) = sum_{j<=m} 1/j.
@@ -219,24 +218,6 @@ class SimilarityMatrix:
             mode=self.mode,
             degenerate=self.degenerate[np.ix_(ri, ci)],
         )
-
-    def transposed(self) -> "SimilarityMatrix":
-        return SimilarityMatrix(
-            row_label=self.col_label,
-            col_label=self.row_label,
-            row_features=list(self.col_features),
-            col_features=list(self.row_features),
-            values=self.values.T.copy(),
-            mode=self.mode,
-            degenerate=self.degenerate.T.copy(),
-        )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"{self.row_label}\\{self.col_label}"] + self.col_features)
-            for i, rname in enumerate(self.row_features):
-                writer.writerow([rname] + [f"{v:.10g}" for v in self.values[i]])
 
 
 def pearson_matrix(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.stats as sps
 
 from schemamatch.chimeric import ChimericConfig, reconstruct_unshared, train, translate
@@ -53,12 +54,20 @@ OUT_DIR = Path(__file__).resolve().parent.parent / "acceptance_out"
 # benchmark-tuned training config; module defaults favor small interactive runs
 TUNED = ChimericConfig(lr=1e-3, epochs=80)
 
+REPORT = OUT_DIR / "acceptance_report.txt"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _fresh_report():
+    """Start the report empty, so it holds the lines of one run only."""
+    REPORT.unlink(missing_ok=True)
+
 
 def _report(ok: bool, label: str, detail: str) -> None:
     line = f"{'PASS' if ok else 'FAIL'} {label}: {detail}"
     print(line)
     OUT_DIR.mkdir(exist_ok=True)
-    with open(OUT_DIR / "acceptance_report.txt", "a") as fh:
+    with open(REPORT, "a") as fh:
         fh.write(line + "\n")
     assert ok, line
 

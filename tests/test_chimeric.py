@@ -141,13 +141,17 @@ def test_model_width_checks():
     def lin(sizes):
         return Mlp(sizes, ["linear"] * (len(sizes) - 1))
 
+    def unit(p):
+        return ColumnScaler(mean=np.zeros(p), std=np.ones(p))
+
     cfg = ChimericConfig(latent_dim=2, hidden=(2, 2))
     with pytest.raises(ValueError, match="latent"):
         ChimericModel(lin([3, 2]), lin([2, 3]), lin([4, 3]), lin([3, 4]),
-                      cfg, ("a0", "a1", "a2"), ("b0", "b1", "b2", "b3"), 1)
+                      cfg, ("a0", "a1", "a2"), ("b0", "b1", "b2", "b3"), 1,
+                      unit(3), unit(4))
     with pytest.raises(ValueError, match="features_a"):
         ChimericModel(lin([3, 2]), lin([2, 3]), lin([4, 2]), lin([2, 4]),
-                      cfg, ("a0",), ("b0", "b1", "b2", "b3"), 1)
+                      cfg, ("a0",), ("b0", "b1", "b2", "b3"), 1, unit(1), unit(4))
 
 
 # ---------------------------------------------------------------- training
@@ -344,4 +348,17 @@ def test_load_rejects_tampered_bias(tmp_path):
     arrays["da_b0"] = np.zeros(1)
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match="shape mismatch"):
+        load_model(path)
+
+
+def test_load_rejects_checkpoint_without_scalers(tmp_path):
+    # without its scalers a model would translate in standardized units
+    ds_a, ds_b = correlated_pair(120, 5, 2, seed=12)
+    cfg = ChimericConfig(latent_dim=2, hidden=(8, 4), epochs=1, seed=4)
+    path = tmp_path / "model.npz"
+    save_model(train(ds_a, ds_b, cfg), path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if not k.startswith("sa_")}
+    np.savez(path, **arrays)
+    with pytest.raises(KeyError, match="sa_mean"):
         load_model(path)

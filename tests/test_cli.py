@@ -66,6 +66,16 @@ def test_match_reads_method_config(tmp_path, method, config):
     assert proposals_from_csv(props_path)
 
 
+def test_match_rejects_mistyped_config_value(tmp_path, caplog):
+    d = _synth(tmp_path, seed=6)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"epochs": "40"}))
+    rc = main(["match", *_pair_args(d), "--method", "chimeric",
+               "--config", str(cfg_path), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    assert "ChimericConfig.epochs must be int" in caplog.text
+
+
 def test_translate_writes_rows_and_model(tmp_path):
     d = _synth(tmp_path, seed=4)
     cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Data model, delimited-text ingestion, encodings, and preprocessing."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,47 @@ def test_scenario_from_json_rejects_unknown_key():
         ScenarioSpec.from_json('{"map_kind": "onto", "gold_map": [], "gold_mpa": []}')
     with pytest.raises(ValueError, match="ScenarioSpec must be a JSON object"):
         from_dict(ScenarioSpec, [])
+
+
+@dataclass(frozen=True)
+class _Knobs:
+    count: int
+    rate: float = 0.5
+    label: str = "x"
+    flag: bool = False
+    limit: int | None = None
+    pair: tuple[int, int] = (1, 2)
+
+
+@pytest.mark.parametrize("d, field", [
+    ({"count": "40"}, "count"),
+    ({"count": True}, "count"),
+    ({"count": 4.0}, "count"),
+    ({"count": 1, "rate": "0.01"}, "rate"),
+    ({"count": 1, "rate": False}, "rate"),
+    ({"count": 1, "label": 3}, "label"),
+    ({"count": 1, "flag": 1}, "flag"),
+    ({"count": 1, "limit": "3"}, "limit"),
+    ({"count": 1, "pair": [1, "2"]}, "pair"),
+    ({"count": 1, "pair": 12}, "pair"),
+])
+def test_from_dict_rejects_mistyped_values(d, field):
+    with pytest.raises(ValueError, match=rf"_Knobs\.{field} must be"):
+        from_dict(_Knobs, d)
+
+
+def test_from_dict_accepts_int_for_float_and_null_for_optional():
+    got = from_dict(_Knobs, {"count": 3, "rate": 1, "flag": True, "limit": None,
+                             "pair": [3, 4]})
+    assert got == _Knobs(count=3, rate=1, flag=True, pair=(3, 4))
+    assert from_dict(_Knobs, {"count": 3, "limit": 7}).limit == 7
+
+
+def test_from_dict_names_missing_required_fields():
+    with pytest.raises(ValueError, match="missing _Knobs key.*count"):
+        from_dict(_Knobs, {"rate": 0.1})
+    with pytest.raises(ValueError, match="missing ScenarioSpec key.*map_kind"):
+        ScenarioSpec.from_json('{"gold_map": []}')
 
 
 def test_scenario_spec_validation():

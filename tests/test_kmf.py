@@ -1,7 +1,5 @@
 """Correlation fingerprints, their similarity, and mapped-set promotion."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from schemamatch.kmf import (
     PromotionPolicy,
     fingerprint_translation,
     fingerprints,
-    fingerprints_to_csv,
     kmf_similarity,
     promote_matches,
     select_for_promotion,
@@ -211,19 +208,3 @@ def test_promote_matches_no_selection_is_identity():
     assert promoted == []
     assert a2.mapped_names == ds_a.mapped_names
     assert a2.feature_names == ds_a.feature_names
-
-
-# ---------------------------------------------------------------- CSV
-
-def test_fingerprints_to_csv(tmp_path):
-    ds = _corr_dataset(n=100, seed=12)
-    fps = fingerprints(ds)
-    path = tmp_path / "fps.csv"
-    fingerprints_to_csv(fps, ds.mapped_names, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["feature"] + ds.mapped_names
-    assert len(rows) == 1 + len(fps)
-    got = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    want = np.stack([fp.vector for fp in fps])
-    assert np.allclose(got, want, atol=1e-9)

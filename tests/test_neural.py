@@ -4,7 +4,7 @@ scheduler recurrences, dropout statistics, and checkpointing."""
 import numpy as np
 import pytest
 
-from schemamatch.neural import Adam, Mlp, PlateauScheduler, load_mlp, save_mlp
+from schemamatch.neural import Adam, Mlp, PlateauScheduler, load_mlp_arrays, mlp_arrays
 
 SMOOTH = ("linear", "tanh", "sigmoid")
 
@@ -220,7 +220,7 @@ def test_plateau_halves_on_constant_loss():
 
 
 def test_plateau_improvement_resets_counter():
-    sched = PlateauScheduler(1.0, factor=0.5, patience=2, threshold=1e-4)
+    sched = PlateauScheduler(1.0, factor=0.5, patience=2)
     sched.update(1.0)
     assert sched.update(0.9) == 1.0  # real improvement
     assert sched.update(0.9) == 1.0  # bad 1
@@ -230,7 +230,7 @@ def test_plateau_improvement_resets_counter():
 
 
 def test_plateau_respects_min_lr():
-    sched = PlateauScheduler(1e-5, factor=0.1, patience=1, min_lr=1e-6)
+    sched = PlateauScheduler(1e-5, factor=0.1, patience=1)
     for _ in range(5):
         lr = sched.update(1.0)
     assert lr == 1e-6
@@ -272,12 +272,10 @@ def test_save_load_round_trip(tmp_path):
     net = Mlp([3, 5, 2], ["tanh", "sigmoid"], dropout_sites=(0,), dropout_rate=0.3,
               rng=rng)
     path = tmp_path / "net.npz"
-    save_mlp(net, path)
-    back = load_mlp(path)
-    assert back.sizes == net.sizes
-    assert back.activations == net.activations
-    assert back.dropout_sites == net.dropout_sites
-    assert back.dropout_rate == net.dropout_rate
+    np.savez(path, **mlp_arrays(net, "n_"))
+    back = Mlp([3, 5, 2], ["tanh", "sigmoid"], dropout_sites=(0,), dropout_rate=0.3)
+    with np.load(path) as data:
+        load_mlp_arrays(back, data, "n_")
     x = rng.standard_normal((4, 3))
     assert np.array_equal(back.forward(x)[0], net.forward(x)[0])
 
@@ -286,10 +284,8 @@ def test_load_rejects_tampered_shapes(tmp_path):
     rng = np.random.default_rng(71)
     net = Mlp([3, 5, 2], ["tanh", "linear"], rng=rng)
     path = tmp_path / "net.npz"
-    save_mlp(net, path)
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
+    arrays = mlp_arrays(net)
     arrays["w0"] = np.zeros((3, 9))
     np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        load_mlp(path)
+    with np.load(path) as data, pytest.raises(ValueError, match="shape mismatch"):
+        load_mlp_arrays(net, data)

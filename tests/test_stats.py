@@ -1,7 +1,6 @@
 """Statistics layer: frozen closed-form oracles, independent reimplementations,
 and property tests."""
 
-import csv
 import math
 
 import numpy as np
@@ -385,24 +384,8 @@ def test_similarity_matrix_validation():
                          col_features=["c0", "c1"], values=np.ones((2, 2)))
 
 
-def test_similarity_matrix_submatrix_and_transpose():
+def test_similarity_matrix_submatrix():
     m = _sim(np.arange(6.0).reshape(2, 3) / 10.0)
     sub = m.submatrix(["r1"], ["c2", "c0"])
     assert sub.values.tolist() == [[0.5, 0.3]]
     assert sub.row_features == ["r1"]
-    t = m.transposed()
-    assert t.values.shape == (3, 2)
-    assert np.array_equal(t.values, m.values.T)
-    assert t.row_label == "B" and t.col_label == "A"
-
-
-def test_similarity_matrix_csv_round_trip(tmp_path):
-    m = _sim(np.array([[0.123456789, -0.5], [1.0, 0.0]]))
-    path = tmp_path / "sim.csv"
-    m.to_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "A\\B"
-    assert rows[0][1:] == ["c0", "c1"]
-    got = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    assert np.allclose(got, m.values, atol=1e-9)

@@ -19,7 +19,7 @@ from .core import (
 from .chimeric import ChimericConfig, ChimericModel, TrainingDiverged
 from .kang import KangConfig
 from .kmf import Fingerprint, PromotionPolicy
-from .matcher import MatchProposal, gale_shapley, holdout_filter, pin_and_rerun
+from .matcher import MatchProposal, gale_shapley, holdout_filter
 from .pipeline import (
     ExperimentConfig,
     MatchSettings,
@@ -65,7 +65,6 @@ __all__ = [
     "one_hot_encode",
     "pearson",
     "pearson_pvalue",
-    "pin_and_rerun",
     "reorder_mapped_first",
     "run_benchmark",
     "run_method",

@@ -102,6 +102,10 @@ class ChimericModel:
             raise ValueError("encoder_a width does not match features_a")
         if self.encoder_b.in_dim != len(self.features_b):
             raise ValueError("encoder_b width does not match features_b")
+        for name, scaler, features in (("scaler_a", self.scaler_a, self.features_a),
+                                       ("scaler_b", self.scaler_b, self.features_b)):
+            if not scaler.mean.shape == scaler.std.shape == (len(features),):
+                raise ValueError(f"{name} width does not match its features")
 
 
 def _build_networks(p_a: int, p_b: int, cfg: ChimericConfig):

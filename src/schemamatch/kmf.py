@@ -4,7 +4,7 @@ cosine similarity, and promote confident matches into the mapped prefix."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -140,18 +140,7 @@ def promote_matches(
             raise ValueError(f"{p.feature_b!r} is already mapped in {ds_b.name!r}")
     new_a = mapped_a + [p.feature_a for p in chosen]
     new_b = mapped_b + [p.feature_b for p in chosen]
-    promoted = [
-        MatchProposal(
-            feature_a=p.feature_a,
-            feature_b=p.feature_b,
-            similarity=p.similarity,
-            holdout_stat=p.holdout_stat,
-            p_value=p.p_value,
-            accepted=True,
-            rank_of_choice=p.rank_of_choice,
-        )
-        for p in chosen
-    ]
+    promoted = [replace(p, accepted=True) for p in chosen]
     return (
         reorder_mapped_first(ds_a, new_a),
         reorder_mapped_first(ds_b, new_b),

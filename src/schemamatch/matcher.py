@@ -15,7 +15,8 @@ from .stats import SimilarityMatrix, by_stepdown, pearson, pearson_pvalue
 class MatchProposal:
     """One proposed feature pair. `feature_a` always names the row side of the
     similarity matrix that produced it. rank_of_choice is 1-based from the
-    applicant's preference list; 0 marks a pinned pair."""
+    applicant's preference list; the default 0 marks a proposal that did not
+    come from one."""
 
     feature_a: str
     feature_b: str
@@ -26,148 +27,60 @@ class MatchProposal:
     rank_of_choice: int = 0
 
 
-def _preference_keys(values: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
-    """Similarity with degenerate entries forced to -inf for ranking."""
-    keys = values.copy()
-    keys[degenerate] = -np.inf
-    return keys
-
-
-def _stable_match(keys: np.ndarray, forbidden: set[tuple[int, int]]):
+def _stable_match(keys: np.ndarray) -> dict[int, tuple[int, int]]:
     """Applicant-proposing deferred acceptance on an (applicants x reviewers)
-    similarity array. Ties break toward the lower feature index on both sides.
-    Forbidden pairs are struck from both preference sides. Returns
-    {applicant: (reviewer, rank_of_choice)}.
+    key array. Both sides prefer the higher key, then the lower index.
+    Returns {applicant: (reviewer, rank_of_choice)}.
     """
     n_app, n_rev = keys.shape
-    pref: list[list[int]] = []
-    for i in range(n_app):
-        order = np.lexsort((np.arange(n_rev), -keys[i]))
-        pref.append([j for j in order if (i, j) not in forbidden])
-    # reviewers rank applicants the same way: higher similarity, then lower index
-    rev_rank = np.empty((n_rev, n_app), dtype=np.int64)
-    for j in range(n_rev):
-        order = np.lexsort((np.arange(n_app), -keys[:, j]))
-        rev_rank[j, order] = np.arange(n_app)
+    pref = np.argsort(-keys, axis=1, kind="stable")
     next_choice = [0] * n_app
     held: dict[int, int] = {}  # reviewer -> applicant
     free = list(range(n_app - 1, -1, -1))
     while free:
         i = free.pop()
-        while next_choice[i] < len(pref[i]):
-            j = pref[i][next_choice[i]]
+        while next_choice[i] < n_rev:
+            j = int(pref[i, next_choice[i]])
             next_choice[i] += 1
             cur = held.get(j)
             if cur is None:
                 held[j] = i
                 break
-            if rev_rank[j, i] < rev_rank[j, cur]:
+            if (keys[i, j], -i) > (keys[cur, j], -cur):
                 held[j] = i
                 free.append(cur)
                 break
         # applicants that exhaust their list stay unmatched
-    result = {}
-    for j, i in held.items():
-        result[i] = (j, next_choice[i])  # next_choice already counts the match
-    return result
+    return {i: (j, next_choice[i]) for j, i in held.items()}  # next_choice counts the match
 
 
 def gale_shapley(sim: SimilarityMatrix, direction: str = "auto") -> list[MatchProposal]:
-    """Stable one-to-one matching over a similarity matrix.
+    """Stable one-to-one matching over a similarity matrix. Degenerate entries
+    rank last on both sides.
 
     direction: "auto" lets the smaller side apply (ties: rows apply),
     "rows_apply" or "cols_apply" force it. Output is ordered by row-feature
     index; unmatched features are omitted. Proposals come back unaccepted;
     run holdout_filter (or mark explicitly) before treating them as matches.
     """
-    return pin_and_rerun(sim, pinned=(), forbidden=(), direction=direction)
-
-
-def pin_and_rerun(
-    sim: SimilarityMatrix,
-    pinned=(),
-    forbidden=(),
-    direction: str = "auto",
-) -> list[MatchProposal]:
-    """Gale-Shapley with hard constraints.
-
-    `pinned` pairs (row_name, col_name) are fixed, removed from the market, and
-    returned first as accepted proposals. `forbidden` pairs are struck from all
-    preference lists (an applicant can end up unmatched). A feature appearing
-    in two pinned pairs is an error.
-    """
     if direction not in ("auto", "rows_apply", "cols_apply"):
         raise ValueError(f"unknown direction {direction!r}")
-    n_rows = len(sim.row_features)
-    n_cols = len(sim.col_features)
-    row_index = {name: i for i, name in enumerate(sim.row_features)}
-    col_index = {name: j for j, name in enumerate(sim.col_features)}
-
-    pinned = list(pinned)
-    seen_rows: set[str] = set()
-    seen_cols: set[str] = set()
-    for a, b in pinned:
-        if a not in row_index:
-            raise ValueError(f"pinned feature {a!r} not on the row side")
-        if b not in col_index:
-            raise ValueError(f"pinned feature {b!r} not on the column side")
-        if a in seen_rows or b in seen_cols:
-            raise ValueError(f"feature pinned twice: ({a!r}, {b!r})")
-        seen_rows.add(a)
-        seen_cols.add(b)
-
-    keep_rows = [i for i, name in enumerate(sim.row_features) if name not in seen_rows]
-    keep_cols = [j for j, name in enumerate(sim.col_features) if name not in seen_cols]
-    keys_full = _preference_keys(sim.values, sim.degenerate)
-    keys = keys_full[np.ix_(keep_rows, keep_cols)] if keep_rows and keep_cols else None
-
-    forbidden_sub: set[tuple[int, int]] = set()
-    row_pos = {orig: k for k, orig in enumerate(keep_rows)}
-    col_pos = {orig: k for k, orig in enumerate(keep_cols)}
-    for a, b in forbidden:
-        ia = row_index.get(a)
-        jb = col_index.get(b)
-        if ia is None or jb is None:
-            raise ValueError(f"forbidden pair ({a!r}, {b!r}) names unknown features")
-        if ia in row_pos and jb in col_pos:
-            forbidden_sub.add((row_pos[ia], col_pos[jb]))
-
-    out: list[MatchProposal] = []
-    for a, b in pinned:
-        val = float(sim.values[row_index[a], col_index[b]])
-        out.append(
-            MatchProposal(feature_a=a, feature_b=b, similarity=val,
-                          accepted=True, rank_of_choice=0)
-        )
-
-    if keys is None or keys.size == 0:
-        return out
-
-    rows_apply = {
-        "rows_apply": True,
-        "cols_apply": False,
-        "auto": len(keep_rows) <= len(keep_cols),
-    }[direction]
-
-    if rows_apply:
-        matches = _stable_match(keys, forbidden_sub)
-        items = [(keep_rows[i], keep_cols[j], rank) for i, (j, rank) in matches.items()]
+    keys = np.where(sim.degenerate, -np.inf, sim.values)
+    n_rows, n_cols = keys.shape
+    if direction == "rows_apply" or (direction == "auto" and n_rows <= n_cols):
+        pairs = [(i, j, rank) for i, (j, rank) in _stable_match(keys).items()]
     else:
-        flipped = {(j, i) for i, j in forbidden_sub}
-        matches = _stable_match(keys.T, flipped)
-        items = [(keep_rows[i], keep_cols[j], rank) for j, (i, rank) in matches.items()]
-
-    items.sort(key=lambda t: t[0])
-    for ri, ci, rank in items:
-        out.append(
-            MatchProposal(
-                feature_a=sim.row_features[ri],
-                feature_b=sim.col_features[ci],
-                similarity=float(sim.values[ri, ci]),
-                rank_of_choice=rank,
-            )
+        pairs = [(i, j, rank) for j, (i, rank) in _stable_match(keys.T).items()]
+    pairs.sort()
+    return [
+        MatchProposal(
+            feature_a=sim.row_features[i],
+            feature_b=sim.col_features[j],
+            similarity=float(sim.values[i, j]),
+            rank_of_choice=rank,
         )
-    return out
+        for i, j, rank in pairs
+    ]
 
 
 def holdout_filter(
@@ -183,8 +96,7 @@ def holdout_filter(
 
     `a_values`/`b_values` are row-aligned hold-out matrices (same rows); for the
     network stage `b_values` is the translated hold-out block, for the
-    fingerprint stage the linear fingerprint translation. Pinned proposals
-    (rank_of_choice 0) keep their accepted flag and are not re-tested.
+    fingerprint stage the linear fingerprint translation.
     """
     a_values = np.asarray(a_values, dtype=np.float64)
     b_values = np.asarray(b_values, dtype=np.float64)
@@ -196,23 +108,19 @@ def holdout_filter(
     b_index = {name: j for j, name in enumerate(b_features)}
     n = a_values.shape[0]
 
-    testable = [p for p in proposals if p.rank_of_choice != 0]
     stats = []
-    pvals = []
-    for p in testable:
+    for p in proposals:
         if p.feature_a not in a_index:
             raise ValueError(f"proposal feature {p.feature_a!r} missing from hold-out A")
         if p.feature_b not in b_index:
             raise ValueError(f"proposal feature {p.feature_b!r} missing from hold-out B")
         r = pearson(a_values[:, a_index[p.feature_a]], b_values[:, b_index[p.feature_b]])
-        stats.append(r)
-        pvals.append(pearson_pvalue(r, n))
-    mask = by_stepdown(np.array(pvals), q) if pvals else np.zeros(0, dtype=bool)
-    scored = {
-        id(p): replace(p, holdout_stat=r, p_value=pv, accepted=bool(ok))
-        for p, r, pv, ok in zip(testable, stats, pvals, mask)
-    }
-    return [scored.get(id(p), p) for p in proposals]
+        stats.append((r, pearson_pvalue(r, n)))
+    mask = by_stepdown(np.array([pv for _, pv in stats]), q)
+    return [
+        replace(p, holdout_stat=r, p_value=pv, accepted=bool(ok))
+        for p, (r, pv), ok in zip(proposals, stats, mask)
+    ]
 
 
 def proposals_to_csv(proposals: list[MatchProposal], path) -> None:

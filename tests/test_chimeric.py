@@ -362,3 +362,17 @@ def test_load_rejects_checkpoint_without_scalers(tmp_path):
     np.savez(path, **arrays)
     with pytest.raises(KeyError, match="sa_mean"):
         load_model(path)
+
+
+def test_load_rejects_mismatched_scaler(tmp_path):
+    # a one-value std would broadcast over every column of A
+    ds_a, ds_b = correlated_pair(120, 5, 2, seed=12)
+    cfg = ChimericConfig(latent_dim=2, hidden=(8, 4), epochs=1, seed=4)
+    path = tmp_path / "model.npz"
+    save_model(train(ds_a, ds_b, cfg), path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays["sa_std"] = np.ones(1)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="scaler_a"):
+        load_model(path)

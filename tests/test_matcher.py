@@ -11,19 +11,18 @@ from schemamatch.matcher import (
     MatchProposal,
     gale_shapley,
     holdout_filter,
-    pin_and_rerun,
     proposals_from_csv,
     proposals_to_csv,
 )
 from schemamatch.stats import SimilarityMatrix, by_stepdown, pearson, pearson_pvalue
 
 
-def sim_matrix(values):
+def sim_matrix(values, degenerate=None):
     values = np.asarray(values, dtype=np.float64)
     rows = [f"a{i}" for i in range(values.shape[0])]
     cols = [f"b{j}" for j in range(values.shape[1])]
     return SimilarityMatrix(row_label="A", col_label="B", row_features=rows,
-                            col_features=cols, values=values)
+                            col_features=cols, values=values, degenerate=degenerate)
 
 
 # ------------------------------------------------------- brute-force oracle
@@ -68,13 +67,24 @@ def all_stable_matchings(values):
     return stable
 
 
+def _oracle_markets(rng, mask_rng):
+    """Random markets as (sim, oracle keys): tie-free, rounded to one decimal
+    so entries tie, and with about 20 % of cells flagged degenerate, which
+    the oracle ranks as -inf."""
+    for _ in range(200):
+        shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        values = rng.random(shape)
+        yield sim_matrix(values), values
+        tied = np.round(values, 1)
+        yield sim_matrix(tied), tied
+        degen = mask_rng.random(shape) < 0.2
+        yield sim_matrix(values, degen), np.where(degen, -np.inf, values)
+
+
 def test_stable_and_applicant_optimal_vs_enumeration():
-    rng = np.random.default_rng(40)
-    for trial in range(200):
-        n_a = int(rng.integers(1, 7))
-        n_b = int(rng.integers(1, 7))
-        values = rng.random((n_a, n_b))
-        sim = sim_matrix(values)
+    markets = _oracle_markets(np.random.default_rng(40), np.random.default_rng(44))
+    for trial, (sim, values) in enumerate(markets):
+        n_a, n_b = values.shape
         got = {p.feature_a: p.feature_b for p in gale_shapley(sim)}
         got_idx = {int(a[1:]): int(b[1:]) for a, b in got.items()}
         stable = all_stable_matchings(values)
@@ -149,55 +159,6 @@ def test_degenerate_entries_rank_last():
     assert pairs == {"a0": "b0", "a1": "b1"}
 
 
-# ------------------------------------------------------- pins and forbids
-
-def test_pin_and_rerun_pins_first():
-    rng = np.random.default_rng(44)
-    values = rng.random((4, 4))
-    sim = sim_matrix(values)
-    props = pin_and_rerun(sim, pinned=[("a2", "b0")])
-    assert props[0].feature_a == "a2" and props[0].feature_b == "b0"
-    assert props[0].accepted and props[0].rank_of_choice == 0
-    assert props[0].similarity == pytest.approx(values[2, 0])
-    rest = props[1:]
-    assert {p.feature_a for p in rest} == {"a0", "a1", "a3"}
-    assert {p.feature_b for p in rest} == {"b1", "b2", "b3"}
-    assert [p.feature_a for p in rest] == sorted(p.feature_a for p in rest)
-
-
-def test_pin_and_rerun_forbidden_pairs():
-    # a0's only remaining option is b1, which prefers a1: a0 ends unmatched
-    values = np.array([[0.9, 0.1], [0.1, 0.9]])
-    sim = sim_matrix(values)
-    props = pin_and_rerun(sim, forbidden=[("a0", "b0")])
-    pairs = {p.feature_a: p.feature_b for p in props}
-    assert pairs == {"a1": "b1"}
-    # forbidding an off-path pair changes nothing
-    props = pin_and_rerun(sim, forbidden=[("a0", "b1")])
-    pairs = {p.feature_a: p.feature_b for p in props}
-    assert pairs == {"a0": "b0", "a1": "b1"}
-    with pytest.raises(ValueError):
-        pin_and_rerun(sim, forbidden=[("a0", "zz")])
-
-
-def test_pin_and_rerun_all_pinned():
-    values = np.array([[0.9, 0.1], [0.1, 0.9]])
-    sim = sim_matrix(values)
-    props = pin_and_rerun(sim, pinned=[("a0", "b1"), ("a1", "b0")])
-    assert len(props) == 2
-    assert all(p.rank_of_choice == 0 for p in props)
-
-
-def test_pin_and_rerun_validation():
-    sim = sim_matrix(np.ones((2, 2)))
-    with pytest.raises(ValueError, match="not on the row side"):
-        pin_and_rerun(sim, pinned=[("zz", "b0")])
-    with pytest.raises(ValueError, match="not on the column side"):
-        pin_and_rerun(sim, pinned=[("a0", "zz")])
-    with pytest.raises(ValueError, match="pinned twice"):
-        pin_and_rerun(sim, pinned=[("a0", "b0"), ("a0", "b1")])
-
-
 # ------------------------------------------------------- hold-out filter
 
 def _holdout_case(seed=50, n=200):
@@ -235,14 +196,6 @@ def test_holdout_filter_accepts_correlated_pairs():
     # acceptance equals BY on the reported p-values
     mask = by_stepdown(np.array([p.p_value for p in out]), q=0.05)
     assert [p.accepted for p in out] == mask.tolist()
-
-
-def test_holdout_filter_skips_pinned():
-    props, a, na, b, nb = _holdout_case()
-    pinned = MatchProposal("a2", "b2", similarity=0.5, accepted=True, rank_of_choice=0)
-    out = holdout_filter([pinned] + props, a, na, b, nb)
-    assert out[0] == pinned  # untouched, keeps accepted flag and NaN stats
-    assert math.isnan(out[0].p_value)
 
 
 def test_holdout_filter_validation():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from typing import Sequence, get_args, get_origin, get_type_hints
@@ -15,6 +16,9 @@ BINARY = "binary"
 
 #: cell spellings treated as missing when reading delimited text (case-insensitive)
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+
+#: columns per contiguous copy in unit_norm
+_NORM_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -317,16 +321,23 @@ def unit_norm(ds: Dataset) -> Dataset:
     Binary columns (raw or one-hot members) are untouched. An all-zero
     continuous column is left unchanged with a warning.
     """
-    vals = ds.values.copy()
-    for j, meta in enumerate(ds.features):
-        if meta.kind != CONTINUOUS:
-            continue
-        norm = float(np.linalg.norm(vals[:, j]))
-        if norm == 0.0:
-            warnings.warn(f"column {meta.name!r} is all zeros; left unchanged")
-            continue
-        vals[:, j] = vals[:, j] / norm
-    return replace(ds, values=vals)
+    cont = [j for j, meta in enumerate(ds.features) if meta.kind == CONTINUOUS]
+    scale = np.ones(ds.n_features)  # x / 1.0 == x for the columns left as they are
+    # Columns are copied _NORM_BLOCK at a time into contiguous rows: each norm is
+    # then the sqrt(col @ col) np.linalg.norm computes on its contiguous copy,
+    # without a transposed copy of the whole table.
+    for start in range(0, len(cont), _NORM_BLOCK):
+        idx = cont[start:start + _NORM_BLOCK]
+        block = np.ascontiguousarray(ds.values[:, idx].T)
+        for j, col in zip(idx, block):
+            scale[j] = math.sqrt(col @ col)
+    for j in cont:
+        if scale[j] == 0.0:
+            warnings.warn(f"column {ds.features[j].name!r} is all zeros; left unchanged")
+            scale[j] = 1.0
+    # C order whatever the input's layout: reductions downstream (pearson_matrix)
+    # sum in layout order, so the layout is part of the result
+    return replace(ds, values=np.divide(ds.values, scale, order="C"))
 
 
 def reorder_mapped_first(

@@ -61,7 +61,12 @@ def mi_matrix(values: np.ndarray, bins: int = 8) -> np.ndarray:
 def _knockoff_pad(side: str, mi: np.ndarray, data, width: int, rng, bins: int) -> np.ndarray:
     """Extend database `side` ("a" or "b") to `width` columns with shuffled
     copies of randomly chosen real columns and return the enlarged MI matrix;
-    a side already `width` wide is returned as is, without drawing from rng."""
+    a side already `width` wide is returned as is, without drawing from rng.
+
+    `mi` must be `mi_matrix(data, bins)` (as `run_kang` computes it): it is
+    copied into the real block, and only the knock-off rows and columns are
+    computed, so the result equals `mi_matrix` of the padded table.
+    """
     p = mi.shape[0]
     if p == width:
         return mi
@@ -72,10 +77,15 @@ def _knockoff_pad(side: str, mi: np.ndarray, data, width: int, rng, bins: int) -
         raise ValueError(f"data_{side} width does not match mi_{side}")
     n = values.shape[0]
     sources = rng.integers(0, p, size=width - p)
-    extra = np.empty((n, width - p))
-    for t, src in enumerate(sources):
-        extra[:, t] = values[rng.permutation(n), src]
-    return mi_matrix(np.hstack([values, extra]), bins=bins)
+    codes = [discretize(col, bins) for col in values.T]
+    codes += [discretize(values[rng.permutation(n), src], bins) for src in sources]
+    out = np.zeros((width, width))
+    out[:p, :p] = mi
+    for j in range(p, width):
+        out[j, j] = entropy_codes(codes[j])
+        for i in range(j):  # lower index first, as mi_matrix orders each pair
+            out[i, j] = out[j, i] = mutual_information_codes(codes[i], codes[j])
+    return out
 
 
 def _pair_terms(mi_a: np.ndarray, mi_b: np.ndarray, pi: np.ndarray,

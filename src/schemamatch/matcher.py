@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import SimilarityMatrix, by_stepdown, pearson, pearson_pvalue
+from .stats import SimilarityMatrix, by_stepdown, pearson_pvalues, pearson_rows
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,28 @@ def _stable_match(keys: np.ndarray) -> dict[int, tuple[int, int]]:
     """Applicant-proposing deferred acceptance on an (applicants x reviewers)
     key array. Both sides prefer the higher key, then the lower index.
     Returns {applicant: (reviewer, rank_of_choice)}.
+
+    Preference lists are built lazily: every first choice comes from one
+    argmax (the first maximum heads the stable descending order), and an
+    applicant's full row is sorted only once it is first rejected.
     """
     n_app, n_rev = keys.shape
-    pref = np.argsort(-keys, axis=1, kind="stable")
+    if n_rev == 0:
+        return {}
+    first = np.argmax(keys, axis=1).tolist()
+    pref: dict[int, np.ndarray] = {}  # applicant -> sorted row, once rejected
     next_choice = [0] * n_app
     held: dict[int, int] = {}  # reviewer -> applicant
     free = list(range(n_app - 1, -1, -1))
     while free:
         i = free.pop()
         while next_choice[i] < n_rev:
-            j = int(pref[i, next_choice[i]])
+            if next_choice[i] == 0:
+                j = first[i]
+            else:
+                if i not in pref:
+                    pref[i] = np.argsort(-keys[i], kind="stable")
+                j = int(pref[i][next_choice[i]])
             next_choice[i] += 1
             cur = held.get(j)
             if cur is None:
@@ -107,19 +119,29 @@ def holdout_filter(
     a_index = {name: i for i, name in enumerate(a_features)}
     b_index = {name: j for j, name in enumerate(b_features)}
     n = a_values.shape[0]
-
-    stats = []
+    ia, ib = [], []
     for p in proposals:
         if p.feature_a not in a_index:
             raise ValueError(f"proposal feature {p.feature_a!r} missing from hold-out A")
         if p.feature_b not in b_index:
             raise ValueError(f"proposal feature {p.feature_b!r} missing from hold-out B")
-        r = pearson(a_values[:, a_index[p.feature_a]], b_values[:, b_index[p.feature_b]])
-        stats.append((r, pearson_pvalue(r, n)))
-    mask = by_stepdown(np.array([pv for _, pv in stats]), q)
+        ia.append(a_index[p.feature_a])
+        ib.append(b_index[p.feature_b])
+
+    r = pearson_rows(a_values[:, ia].T, b_values[:, ib].T)
+    pv = pearson_pvalues(r, n)
+    mask = by_stepdown(pv, q)
     return [
-        replace(p, holdout_stat=r, p_value=pv, accepted=bool(ok))
-        for p, (r, pv), ok in zip(proposals, stats, mask)
+        MatchProposal(
+            feature_a=p.feature_a,
+            feature_b=p.feature_b,
+            similarity=p.similarity,
+            holdout_stat=rt,
+            p_value=pt,
+            accepted=ok,
+            rank_of_choice=p.rank_of_choice,
+        )
+        for p, rt, pt, ok in zip(proposals, r.tolist(), pv.tolist(), mask.tolist())
     ]
 
 

@@ -458,6 +458,7 @@ def run_replicate(cfg: ExperimentConfig, value, vi: int, trial: int, perm: int,
         transform_count=cfg.transform_count,
         seed=trial_seed, perm_seed=perm_seed, trial=trial, perm=perm,
     )
+    del ds  # the source table is not read again; free it before the methods run
     ds_a = unit_norm(ds_a)
     ds_b = unit_norm(ds_b)
     settings = replace(

@@ -17,13 +17,24 @@ def pearson(x, y) -> float:
         raise ValueError("pearson expects two equal-length 1-D arrays")
     if x.size < 3:
         raise ValueError("pearson needs at least 3 observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
-    if denom == 0.0:
-        return 0.0
-    r = float(xc @ yc) / denom
-    return max(-1.0, min(1.0, r))
+    return float(pearson_rows(x[None], y[None])[0])
+
+
+def pearson_rows(x, y) -> np.ndarray:
+    """Sample Pearson correlation between row t of x and row t of y, for every
+    t; a zero-variance row yields 0.0 (degenerate). Each row is centred and
+    dotted as one contiguous vector, so r does not depend on how many rows are
+    scored together."""
+    xc = np.array(x, dtype=np.float64, order="C")
+    yc = np.array(y, dtype=np.float64, order="C")
+    xc -= xc.mean(axis=1, keepdims=True)
+    yc -= yc.mean(axis=1, keepdims=True)
+    sxx = np.array([u @ u for u in xc])
+    syy = np.array([v @ v for v in yc])
+    sxy = np.array([u @ v for u, v in zip(xc, yc)])
+    denom = np.sqrt(sxx * syy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom == 0.0, 0.0, np.clip(sxy / denom, -1.0, 1.0))
 
 
 def cosine(u, v) -> float:
@@ -48,13 +59,16 @@ def pearson_pvalue(r: float, n: int) -> float:
     r = float(r)
     if not math.isfinite(r):
         raise ValueError("r must be finite")
-    r = max(-1.0, min(1.0, r))
-    if abs(r) == 1.0:
-        return 0.0
+    return float(pearson_pvalues(np.array([r]), n)[0])
+
+
+def pearson_pvalues(r: np.ndarray, n: int) -> np.ndarray:
+    """`pearson_pvalue` for every entry of a finite array r, in one call."""
+    r = np.clip(r, -1.0, 1.0)
     df = n - 2
-    t2 = r * r * df / (1.0 - r * r)
-    x = df / (df + t2)
-    return float(betainc(df / 2.0, 0.5, x))
+    with np.errstate(divide="ignore"):
+        t2 = r * r * df / (1.0 - r * r)
+        return np.where(np.abs(r) == 1.0, 0.0, betainc(df / 2.0, 0.5, df / (df + t2)))
 
 
 def by_stepdown(pvalues, q: float = 0.05) -> np.ndarray:

@@ -169,21 +169,23 @@ def build_scenario(
 
     mapped_idx = np.sort(rng_trial.choice(p, size=k_mapped, replace=False))
     mapped_names = [names[i] for i in mapped_idx]
-    pool = [i for i in range(p) if i not in set(mapped_idx.tolist())]
+    mapped_set = set(mapped_idx.tolist())
+    pool = [i for i in range(p) if i not in mapped_set]
 
     drop_pick = rng_perm.choice(len(pool), size=drop_a + drop_b, replace=False)
     dropped_a = sorted(pool[i] for i in drop_pick[:drop_a])
     dropped_b = sorted(pool[i] for i in drop_pick[drop_a:])
 
-    unmapped_a = [i for i in pool if i not in set(dropped_a)]
-    unmapped_b = [i for i in pool if i not in set(dropped_b)]
+    drop_set_a, drop_set_b = set(dropped_a), set(dropped_b)
+    unmapped_a = [i for i in pool if i not in drop_set_a]
+    unmapped_b = [i for i in pool if i not in drop_set_b]
     unmapped_b = [unmapped_b[i] for i in rng_perm.permutation(len(unmapped_b))]
 
     cols_a = list(mapped_idx) + unmapped_a
     cols_b = list(mapped_idx) + unmapped_b
 
-    vals_a = ds.values[rows_a][:, cols_a]
-    vals_b = ds.values[rows_b][:, cols_b]
+    vals_a = ds.values[np.ix_(rows_a, cols_a)]
+    vals_b = ds.values[np.ix_(rows_b, cols_b)]
 
     transformed: list[tuple[str, str]] = []
     if transform_count:

@@ -1,5 +1,6 @@
 """Data model, delimited-text ingestion, encodings, and preprocessing."""
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,50 @@ def test_unit_norm_zero_column_warns():
     with pytest.warns(UserWarning):
         out = unit_norm(ds)
     assert out.column("c0").tolist() == [0.0, 0.0, 0.0]
+
+
+def _reference_unit_norm(ds):
+    """Per-column reference: np.linalg.norm of each continuous column, then a
+    division; unit_norm must return the same bits."""
+    vals = ds.values.copy()
+    for j, meta in enumerate(ds.features):
+        if meta.kind != CONTINUOUS:
+            continue
+        norm = float(np.linalg.norm(vals[:, j]))
+        if norm == 0.0:
+            warnings.warn(f"column {meta.name!r} is all zeros; left unchanged")
+            continue
+        vals[:, j] = vals[:, j] / norm
+    return vals
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n_rows", [1, 37])
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+def test_unit_norm_equals_reference(width, n_rows, order):
+    rng = np.random.default_rng(70 + width)
+    values = 5.0 * rng.standard_normal((n_rows, width)) + 1.0
+    kinds = [CONTINUOUS] + [BINARY if rng.random() < 0.3 else CONTINUOUS
+                            for _ in range(width - 1)]
+    for j, kind in enumerate(kinds):
+        if kind == BINARY:
+            values[:, j] = values[:, j] > 1.0
+    zero = width // 2  # an all-zero column, except in the one-column table
+    if zero:
+        values[:, zero] = 0.0
+        kinds[zero] = CONTINUOUS
+    ds = make_dataset(np.asarray(values, order=order), kinds=kinds)
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        out = unit_norm(ds)
+    with warnings.catch_warnings(record=True) as ref_warnings:
+        warnings.simplefilter("always")
+        ref = _reference_unit_norm(ds)
+    assert out.values.tobytes() == ref.tobytes()
+    assert out.values.flags.c_contiguous == ref.flags.c_contiguous
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in ref_warnings]
+    assert [str(w.message) for w in got_warnings] == (
+        [f"column 'c{zero}' is all zeros; left unchanged"] if zero else [])
 
 
 def test_reorder_mapped_first():

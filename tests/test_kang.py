@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from schemamatch.kang import KangConfig, kang_match, mi_matrix
+from schemamatch import kang
+from schemamatch.kang import KangConfig, _knockoff_pad, kang_match, mi_matrix
 from schemamatch.stats import entropy, mutual_information
 
 
@@ -164,3 +165,25 @@ def test_padding_smaller_a_side():
     assert sorted(res.assignment.tolist()) == list(range(5))
     with pytest.raises(ValueError, match="requires data_a"):
         kang_match(mi_a, mi_b, cfg=KangConfig(iterations=600, seed=18))
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_knockoff_pad_reuses_real_block(side, monkeypatch):
+    values = _factor_data(400, 6, seed=19 if side == "a" else 20)
+    values[:, 2] = values[:, 2] > 0.0  # a binary column keeps its levels
+    mi = mi_matrix(values)
+    # the knock-offs _knockoff_pad draws: two sources, one shuffle each
+    twin = np.random.default_rng(21)
+    sources = twin.integers(0, 6, size=2)
+    extra = np.column_stack([values[twin.permutation(400), src] for src in sources])
+    expected = mi_matrix(np.hstack([values, extra]))
+
+    calls = []
+    original = kang.mutual_information_codes
+    monkeypatch.setattr(kang, "mutual_information_codes",
+                        lambda cx, cy: calls.append(1) or original(cx, cy))
+    padded = _knockoff_pad(side, mi, values, 8, np.random.default_rng(21), bins=8)
+    assert np.array_equal(padded, expected)
+    # only pairs with a knock-off: 28 pairs in all, less the 15 real ones
+    assert len(calls) == 28 - 15
+

@@ -3,9 +3,11 @@ enumeration of all stable matchings on small instances."""
 
 import itertools
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from schemamatch.matcher import (
     MatchProposal,
@@ -159,6 +161,122 @@ def test_degenerate_entries_rank_last():
     assert pairs == {"a0": "b0", "a1": "b1"}
 
 
+# ------------------------------------------------------- reference kernels
+# Plain references: every preference list sorted up front, and each proposal
+# scored alone with a scalar Pearson r and p-value. The kernels must return
+# the same bits.
+
+def _reference_stable_match(keys):
+    n_app, n_rev = keys.shape
+    pref = np.argsort(-keys, axis=1, kind="stable")
+    next_choice = [0] * n_app
+    held = {}
+    free = list(range(n_app - 1, -1, -1))
+    while free:
+        i = free.pop()
+        while next_choice[i] < n_rev:
+            j = int(pref[i, next_choice[i]])
+            next_choice[i] += 1
+            cur = held.get(j)
+            if cur is None:
+                held[j] = i
+                break
+            if (keys[i, j], -i) > (keys[cur, j], -cur):
+                held[j] = i
+                free.append(cur)
+                break
+    return {i: (j, next_choice[i]) for j, i in held.items()}
+
+
+def _reference_gale_shapley(sim, direction):
+    keys = np.where(sim.degenerate, -np.inf, sim.values)
+    n_rows, n_cols = keys.shape
+    if direction == "rows_apply" or (direction == "auto" and n_rows <= n_cols):
+        pairs = [(i, j, rank) for i, (j, rank) in _reference_stable_match(keys).items()]
+    else:
+        pairs = [(i, j, rank) for j, (i, rank) in _reference_stable_match(keys.T).items()]
+    pairs.sort()
+    return [MatchProposal(sim.row_features[i], sim.col_features[j],
+                          float(sim.values[i, j]), rank_of_choice=rank)
+            for i, j, rank in pairs]
+
+
+def _reference_pearson(x, y):
+    xc = x - x.mean()
+    yc = y - y.mean()
+    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
+    if denom == 0.0:
+        return 0.0
+    return max(-1.0, min(1.0, float(xc @ yc) / denom))
+
+
+def _reference_pvalue(r, n):
+    if abs(r) == 1.0:
+        return 0.0
+    df = n - 2
+    t2 = r * r * df / (1.0 - r * r)
+    return float(betainc(df / 2.0, 0.5, df / (df + t2)))
+
+
+def _reference_holdout_filter(proposals, a_values, a_features, b_values, b_features, q):
+    a_index = {name: i for i, name in enumerate(a_features)}
+    b_index = {name: j for j, name in enumerate(b_features)}
+    n = a_values.shape[0]
+    stats = []
+    for p in proposals:
+        r = _reference_pearson(a_values[:, a_index[p.feature_a]],
+                               b_values[:, b_index[p.feature_b]])
+        stats.append((r, _reference_pvalue(r, n)))
+    mask = by_stepdown(np.array([pv for _, pv in stats]), q)
+    return [replace(p, holdout_stat=r, p_value=pv, accepted=bool(ok))
+            for p, (r, pv), ok in zip(proposals, stats, mask)]
+
+
+def _bits(proposals):
+    """Every field, with floats as hex so -0.0 and 0.0 differ."""
+    return [tuple(v.hex() if isinstance(v, float) else (type(v), v) for v in astuple(p))
+            for p in proposals]
+
+
+def _tied_market(rng, shape):
+    """One-decimal values (so entries tie), zeros split between 0.0 and -0.0,
+    and about 20 % of cells degenerate."""
+    values = np.round(rng.standard_normal(shape), 1)
+    zeros = values == 0.0
+    values[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+    return sim_matrix(values, rng.random(shape) < 0.2)
+
+
+@pytest.mark.parametrize("shape", [(200, 200), (240, 200), (200, 240)])
+@pytest.mark.parametrize("direction", ["rows_apply", "cols_apply", "auto"])
+def test_gale_shapley_equals_reference_on_tied_markets(shape, direction):
+    rng = np.random.default_rng(60 + shape[0] + shape[1])
+    sim = _tied_market(rng, shape)
+    assert np.signbit(sim.values[sim.values == 0.0]).any()
+    got = gale_shapley(sim, direction)
+    assert _bits(got) == _bits(_reference_gale_shapley(sim, direction))
+    assert len(got) == min(shape)
+
+
+@pytest.mark.parametrize("direction", ["rows_apply", "cols_apply", "auto"])
+def test_gale_shapley_equals_reference_when_all_agree(direction):
+    # every applicant ranks the reviewers alike and every reviewer the
+    # applicants alike, so nearly every applicant is rejected and sorted
+    idx = np.arange(600.0)
+    sim = sim_matrix(np.add.outer(idx, idx))
+    got = gale_shapley(sim, direction)
+    assert _bits(got) == _bits(_reference_gale_shapley(sim, direction))
+    assert sum(p.rank_of_choice for p in got) > 600 * 300
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+@pytest.mark.parametrize("direction", ["rows_apply", "cols_apply", "auto"])
+def test_gale_shapley_empty_side(shape, direction):
+    sim = sim_matrix(np.zeros(shape))
+    assert gale_shapley(sim, direction) == []
+    assert _reference_gale_shapley(sim, direction) == []
+
+
 # ------------------------------------------------------- hold-out filter
 
 def _holdout_case(seed=50, n=200):
@@ -224,6 +342,30 @@ def test_holdout_filter_empty_and_null_data():
              for i in range(3)]
     out = holdout_filter(props, a, ["a0", "a1", "a2"], b, ["b0", "b1", "b2"])
     assert not any(p.accepted for p in out)
+
+
+def test_holdout_filter_equals_reference():
+    rng = np.random.default_rng(61)
+    n = 40
+    a = rng.standard_normal((n, 12))
+    b = rng.standard_normal((n, 12))
+    b[:, :4] += 0.8 * a[:, :4]
+    a[:, 5] = 3.0  # zero variance: r = 0, p = 1
+    a[:, 6] = np.arange(n, dtype=np.float64)
+    b[:, 6] = 2.0 * a[:, 6] + 1.0  # exact +1: p = 0
+    b[:, 7] = -a[:, 6]  # exact -1: p = 0
+    names_a = [f"a{i}" for i in range(12)]
+    names_b = [f"b{j}" for j in range(12)]
+    pairs = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 9), (5, 5), (6, 6), (6, 7),
+             (8, 8), (9, 4), (10, 11), (11, 10)]
+    props = [MatchProposal(f"a{i}", f"b{j}", similarity=0.1 * i, rank_of_choice=1 + i % 3)
+             for i, j in pairs]
+    got = holdout_filter(props, a, names_a, b, names_b, q=0.1)
+    assert _bits(got) == _bits(_reference_holdout_filter(props, a, names_a, b, names_b, 0.1))
+    by_pair = {(p.feature_a, p.feature_b): p for p in got}
+    assert (by_pair["a5", "b5"].holdout_stat, by_pair["a5", "b5"].p_value) == (0.0, 1.0)
+    assert (by_pair["a6", "b6"].holdout_stat, by_pair["a6", "b6"].p_value) == (1.0, 0.0)
+    assert (by_pair["a6", "b7"].holdout_stat, by_pair["a6", "b7"].p_value) == (-1.0, 0.0)
 
 
 # ------------------------------------------------------- CSV round trip

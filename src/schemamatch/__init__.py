@@ -18,7 +18,7 @@ from .core import (
 )
 from .chimeric import ChimericConfig, ChimericModel, TrainingDiverged
 from .kang import KangConfig
-from .kmf import Fingerprint, PromotionPolicy
+from .kmf import PromotionPolicy
 from .matcher import MatchProposal, gale_shapley, holdout_filter
 from .pipeline import (
     ExperimentConfig,
@@ -46,7 +46,6 @@ __all__ = [
     "Dataset",
     "ExperimentConfig",
     "FeatureMeta",
-    "Fingerprint",
     "KangConfig",
     "MatchProposal",
     "MatchSettings",

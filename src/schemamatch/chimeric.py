@@ -314,10 +314,10 @@ def chimeric_dependence(
     z: np.ndarray,
     z_features,
     measure: str = "pearson",
-    bins: int = 8,
 ) -> SimilarityMatrix:
     """Dependence of every raw feature on every translated feature over the same
-    rows. measure: "pearson" (default) or "mutual_information"."""
+    rows. measure: "pearson" (default) or "mutual_information" on 8 quantile
+    bins."""
     z = np.asarray(z, dtype=np.float64)
     z_features = list(z_features)
     if z.shape[1] != len(z_features):
@@ -327,8 +327,8 @@ def chimeric_dependence(
     if measure == "pearson":
         values, degen = pearson_matrix(ds.values, z)
     elif measure == "mutual_information":
-        codes_x = [discretize(col, bins) for col in ds.values.T]
-        codes_z = [discretize(col, bins) for col in z.T]
+        codes_x = [discretize(col, 8) for col in ds.values.T]
+        codes_z = [discretize(col, 8) for col in z.T]
         values = np.zeros((len(codes_x), len(codes_z)))
         degen = np.zeros(values.shape, dtype=bool)
         for i, cx in enumerate(codes_x):
@@ -338,15 +338,7 @@ def chimeric_dependence(
         degen[flat, :] = True
     else:
         raise ValueError(f"unknown measure {measure!r}")
-    return SimilarityMatrix(
-        row_label=ds.name,
-        col_label="translated",
-        row_features=ds.feature_names,
-        col_features=z_features,
-        values=values,
-        mode=measure,
-        degenerate=degen,
-    )
+    return SimilarityMatrix(ds.feature_names, z_features, values, degen)
 
 
 def reconstruct_unshared(

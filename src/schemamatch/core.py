@@ -23,20 +23,19 @@ _NORM_BLOCK = 64
 
 @dataclass(frozen=True)
 class FeatureMeta:
-    """Per-column metadata: kind, provenance, and the mapping certainty weight."""
+    """Per-column metadata: kind, source column, and the mapping certainty weight."""
 
     name: str
     kind: str = CONTINUOUS
-    origin: str = "raw"  # "raw" or "onehot"
     parent: str | None = None  # source column for one-hot members
-    level: str | None = None  # level a one-hot member encodes
     certainty_weight: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, BINARY):
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        if self.certainty_weight < 0:
-            raise ValueError("certainty_weight must be >= 0")
+        if not 0 <= self.certainty_weight < math.inf:
+            raise ValueError(f"certainty_weight of {self.name!r} must be finite and >= 0, "
+                             f"got {self.certainty_weight!r}")
 
 
 @dataclass(frozen=True)
@@ -276,7 +275,7 @@ def impute_simple(table: RawTable) -> RawTable:
     return RawTable(name=table.name, columns=list(table.columns), cells=filled)
 
 
-def one_hot_encode(table: RawTable, dataset_name: str | None = None) -> Dataset:
+def one_hot_encode(table: RawTable) -> Dataset:
     """Expand categorical columns into one binary indicator per level
     (levels in lexicographic order); numeric columns pass through.
 
@@ -298,21 +297,12 @@ def one_hot_encode(table: RawTable, dataset_name: str | None = None) -> Dataset:
             for lev in levels:
                 indic = np.array([1.0 if str(v) == lev else 0.0 for v in vals])
                 out_cols.append(indic)
-                metas.append(
-                    FeatureMeta(
-                        name=f"{col}={lev}", kind=BINARY, origin="onehot",
-                        parent=col, level=lev,
-                    )
-                )
+                metas.append(FeatureMeta(name=f"{col}={lev}", kind=BINARY, parent=col))
         else:
             out_cols.append(np.array([float(v) for v in vals], dtype=np.float64))
             metas.append(FeatureMeta(name=col, kind=kind))
     values = np.column_stack(out_cols) if out_cols else np.zeros((n, 0))
-    return Dataset(
-        name=dataset_name or table.name,
-        values=values,
-        features=tuple(metas),
-    )
+    return Dataset(name=table.name, values=values, features=tuple(metas))
 
 
 def unit_norm(ds: Dataset) -> Dataset:

@@ -35,7 +35,6 @@ class KangResult:
     positions >= n_real_a are knock-offs, columns >= n_real_b likewise."""
 
     assignment: np.ndarray
-    objective: float
     n_real_a: int
     n_real_b: int
     pair_scores: np.ndarray  # per-position summed similarity contribution
@@ -186,7 +185,6 @@ def kang_match(
     scores = np.array([_pair_terms(mi_a, mi_b, best_pi, i, cfg).sum() for i in range(p)])
     return KangResult(
         assignment=best_pi,
-        objective=float(_objective(mi_a, mi_b, best_pi, cfg)),
         n_real_a=n_real_a,
         n_real_b=n_real_b,
         pair_scores=scores,

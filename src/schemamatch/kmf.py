@@ -4,7 +4,7 @@ cosine similarity, and promote confident matches into the mapped prefix."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,50 +13,24 @@ from .matcher import MatchProposal
 from .stats import SimilarityMatrix, pearson_matrix
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Correlations of one unmapped feature to the K mapped features, in mapped
-    order. degenerate[k] marks entries recorded as 0 for zero-variance inputs."""
-
-    feature: str
-    vector: np.ndarray
-    degenerate: np.ndarray
-
-
-def fingerprints(ds: Dataset) -> list[Fingerprint]:
-    """Fingerprint every unmapped column of a dataset with mapped_count >= 1."""
+def fingerprints(ds: Dataset) -> SimilarityMatrix:
+    """Fingerprint every unmapped column of a dataset with mapped_count >= 1:
+    row i holds the correlations of unmapped feature i to the mapped features,
+    in mapped order; degenerate marks entries recorded as 0 for zero-variance
+    inputs."""
     k = ds.mapped_count
     if k < 1:
         raise ValueError("fingerprints need at least one mapped feature")
-    if ds.n_features == k:
-        return []
     corr, degen = pearson_matrix(ds.values[:, k:], ds.values[:, :k])
-    out = []
-    for i, name in enumerate(ds.unmapped_names):
-        out.append(Fingerprint(feature=name, vector=corr[i], degenerate=degen[i]))
-    return out
+    return SimilarityMatrix(ds.unmapped_names, ds.mapped_names, corr, degen)
 
 
-def _stack(fps: list[Fingerprint]) -> np.ndarray:
-    return np.stack([fp.vector for fp in fps]) if fps else np.zeros((0, 0))
-
-
-def kmf_similarity(
-    fps_a: list[Fingerprint],
-    fps_b: list[Fingerprint],
-    label_a: str = "A",
-    label_b: str = "B",
-) -> SimilarityMatrix:
-    """Pairwise cosine similarity between two fingerprint sets. Zero-length or
-    zero-vector fingerprints yield 0 with the degenerate flag set."""
-    if not fps_a or not fps_b:
-        raise ValueError("both fingerprint lists must be non-empty")
-    ka = fps_a[0].vector.size
-    kb = fps_b[0].vector.size
-    if ka != kb:
+def kmf_similarity(fp_a: SimilarityMatrix, fp_b: SimilarityMatrix) -> SimilarityMatrix:
+    """Pairwise cosine similarity between the fingerprint rows of two
+    databases. Zero-vector fingerprints yield 0 with the degenerate flag set."""
+    va, vb = fp_a.values, fp_b.values
+    if va.shape[1] != vb.shape[1]:
         raise ValueError("fingerprint lengths differ between databases")
-    va = _stack(fps_a)
-    vb = _stack(fps_b)
     na = np.linalg.norm(va, axis=1)
     nb = np.linalg.norm(vb, axis=1)
     bad_a = na == 0
@@ -69,28 +43,17 @@ def kmf_similarity(
     degen[bad_a, :] = True
     degen[:, bad_b] = True
     sim[degen] = 0.0
-    return SimilarityMatrix(
-        row_label=label_a,
-        col_label=label_b,
-        row_features=[fp.feature for fp in fps_a],
-        col_features=[fp.feature for fp in fps_b],
-        values=sim,
-        mode="cosine",
-        degenerate=degen,
-    )
+    return SimilarityMatrix(fp_a.row_features, fp_b.row_features, sim, degen)
 
 
-def fingerprint_translation(mapped_values: np.ndarray, fps: list[Fingerprint]) -> np.ndarray:
+def fingerprint_translation(mapped_values: np.ndarray, fp: SimilarityMatrix) -> np.ndarray:
     """Linear translation of fingerprinted features into another database's row
-    space: column j is mapped_values @ fps[j].vector. Used to score proposals
+    space: column j is mapped_values @ fp.values[j]. Used to score proposals
     on hold-out rows with an honest per-row sample size."""
     mapped_values = np.asarray(mapped_values, dtype=np.float64)
-    if not fps:
-        return np.zeros((mapped_values.shape[0], 0))
-    k = fps[0].vector.size
-    if mapped_values.shape[1] != k:
+    if mapped_values.shape[1] != fp.values.shape[1]:
         raise ValueError("mapped block width does not match fingerprint length")
-    return mapped_values @ _stack(fps).T
+    return mapped_values @ fp.values.T
 
 
 @dataclass(frozen=True)

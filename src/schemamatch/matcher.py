@@ -84,14 +84,16 @@ def gale_shapley(sim: SimilarityMatrix, direction: str = "auto") -> list[MatchPr
     else:
         pairs = [(i, j, rank) for j, (i, rank) in _stable_match(keys.T).items()]
     pairs.sort()
+    # one gather for every matched cell; tolist gives the same Python floats
+    sims = sim.values[[i for i, _, _ in pairs], [j for _, j, _ in pairs]].tolist()
     return [
         MatchProposal(
             feature_a=sim.row_features[i],
             feature_b=sim.col_features[j],
-            similarity=float(sim.values[i, j]),
+            similarity=s,
             rank_of_choice=rank,
         )
-        for i, j, rank in pairs
+        for (i, j, rank), s in zip(pairs, sims)
     ]
 
 

@@ -15,7 +15,6 @@ from . import chimeric as chimeric_mod
 from . import kang as kang_mod
 from .core import Dataset, ScenarioSpec, unit_norm
 from .kmf import (
-    Fingerprint,
     PromotionPolicy,
     fingerprint_translation,
     fingerprints,
@@ -61,7 +60,6 @@ class EvalReport:
     fn: int
     f1: float
     n_gold: int
-    outcomes: list[tuple[str, str, str]]
 
 
 def split_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,19 +84,16 @@ def _kmf_stage(ds_a: Dataset, ds_b: Dataset, settings: MatchSettings):
     tr_b, ho_b = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
     a_train, a_hold = ds_a.subset_rows(tr_a), ds_a.subset_rows(ho_a)
     b_train = ds_b.subset_rows(tr_b)
-    fps_a = fingerprints(a_train)
-    fps_b = fingerprints(b_train)
-    sim = kmf_similarity(fps_a, fps_b, label_a=ds_a.name, label_b=ds_b.name)
+    fp_a, fp_b = fingerprints(a_train), fingerprints(b_train)
+    sim = kmf_similarity(fp_a, fp_b)
     proposals = gale_shapley(sim, direction=settings.direction)
-    translated = fingerprint_translation(
-        a_hold.values[:, : ds_a.mapped_count], fps_b
-    )
+    translated = fingerprint_translation(a_hold.values[:, : ds_a.mapped_count], fp_b)
     return holdout_filter(
         proposals,
         a_hold.values,
         a_hold.feature_names,
         translated,
-        [fp.feature for fp in fps_b],
+        fp_b.row_features,
         q=settings.fdr_q,
     )
 
@@ -256,7 +251,6 @@ def evaluate(proposals: list[MatchProposal], scenario: ScenarioSpec) -> EvalRepo
     gold_ab = dict(scenario.gold_map)
     gold_ba = {b: a for a, b in scenario.gold_map}
     tp = fp = 0
-    outcomes: list[tuple[str, str, str]] = []
     for p in proposals:
         if feats_a and p.feature_a not in feats_a:
             raise ValueError(f"proposal names unknown feature {p.feature_a!r}")
@@ -264,21 +258,14 @@ def evaluate(proposals: list[MatchProposal], scenario: ScenarioSpec) -> EvalRepo
             raise ValueError(f"proposal names unknown feature {p.feature_b!r}")
         if not p.accepted:
             continue
-        ga = gold_ab.get(p.feature_a)
-        gb = gold_ba.get(p.feature_b)
-        if ga is None and gb is None:
-            outcomes.append((p.feature_a, p.feature_b, "ignored"))
-        elif ga == p.feature_b:
+        if gold_ab.get(p.feature_a) == p.feature_b:
             tp += 1
-            outcomes.append((p.feature_a, p.feature_b, "tp"))
-        else:
+        elif p.feature_a in gold_ab or p.feature_b in gold_ba:
             fp += 1
-            outcomes.append((p.feature_a, p.feature_b, "fp"))
     fn = len(scenario.gold_map) - tp
     denom = 2 * tp + fp + fn
     f1 = 2 * tp / denom if denom else 0.0
-    return EvalReport(tp=tp, fp=fp, fn=fn, f1=f1, n_gold=len(scenario.gold_map),
-                      outcomes=outcomes)
+    return EvalReport(tp=tp, fp=fp, fn=fn, f1=f1, n_gold=len(scenario.gold_map))
 
 
 def withheld_truth(source: Dataset, scenario: ScenarioSpec, feature: str, side: str) -> np.ndarray:
@@ -302,7 +289,6 @@ class TuneResult:
     best_index: int
     best_score: float
     mean_scores: list[float]
-    fold_scores: list[list[float]]  # [config][fold]
 
 
 def _hide_mapped(ds_a: Dataset, ds_b: Dataset, hide_positions) -> tuple[Dataset, Dataset, ScenarioSpec]:
@@ -354,6 +340,8 @@ def tune_hyperparams(
     elif protocol == "half_split":
         if k < 2:
             raise ValueError("half_split needs at least 2 mapped features")
+        if folds < 1:
+            raise ValueError("half_split needs folds >= 1")
         fold_sets = []
         for f in range(folds):
             rng = np.random.default_rng([seed, 23, f])
@@ -362,7 +350,7 @@ def tune_hyperparams(
         raise ValueError(f"unknown protocol {protocol!r}")
 
     settings = settings or MatchSettings()
-    fold_scores: list[list[float]] = []
+    means = []
     for cfg in grid:
         scores = []
         for hide in fold_sets:
@@ -372,11 +360,9 @@ def tune_hyperparams(
             else:
                 res = run_method(method, a2, b2, settings, chimeric_cfg=cfg)
             scores.append(evaluate(res.proposals, spec).f1)
-        fold_scores.append(scores)
-    means = [float(np.mean(s)) for s in fold_scores]
+        means.append(float(np.mean(scores)))
     best = int(np.argmax(means))
-    return TuneResult(best_index=best, best_score=means[best],
-                      mean_scores=means, fold_scores=fold_scores)
+    return TuneResult(best_index=best, best_score=means[best], mean_scores=means)
 
 
 @dataclass(frozen=True)

@@ -195,18 +195,15 @@ def wilcoxon_ranksum(a, b) -> tuple[float, float]:
 
 @dataclass
 class SimilarityMatrix:
-    """Dense feature-by-feature similarity with labeled axes.
+    """Dense feature-by-feature similarity with named rows and columns.
 
     `degenerate[i, j]` marks entries whose statistic was undefined (zero
     variance or zero vector) and recorded as 0.
     """
 
-    row_label: str
-    col_label: str
     row_features: list[str]
     col_features: list[str]
     values: np.ndarray
-    mode: str = "pearson"
     degenerate: np.ndarray | None = None
 
     def __post_init__(self):
@@ -224,12 +221,9 @@ class SimilarityMatrix:
         ri = [self.row_features.index(r) for r in row_names]
         ci = [self.col_features.index(c) for c in col_names]
         return SimilarityMatrix(
-            row_label=self.row_label,
-            col_label=self.col_label,
             row_features=list(row_names),
             col_features=list(col_names),
             values=self.values[np.ix_(ri, ci)],
-            mode=self.mode,
             degenerate=self.degenerate[np.ix_(ri, ci)],
         )
 

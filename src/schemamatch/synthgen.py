@@ -17,6 +17,10 @@ FAMILIES = (
     "independent_gaussian",
 )
 
+#: per-coordinate cluster means of the two-cluster families are drawn from [low, high)
+CLUSTER_MEAN_LOW = 10.0
+CLUSTER_MEAN_HIGH = 20.0
+
 
 @dataclass(frozen=True)
 class CovarianceSpec:
@@ -39,8 +43,6 @@ class GeneratorSpec:
     family: str
     dim: int
     n_samples: int
-    mean_low: float = 10.0
-    mean_high: float = 20.0
     seed: int = 0
 
     def __post_init__(self):
@@ -64,18 +66,17 @@ def _feature_names(dim: int) -> list[str]:
     return [f"f{i:0{width}d}" for i in range(dim)]
 
 
-def sample(spec: GeneratorSpec, cov: np.ndarray | None = None, return_params: bool = False):
+def sample(spec: GeneratorSpec, cov: np.ndarray | None = None) -> Dataset:
     """Draw one source dataset of spec.n_samples rows.
 
     gaussian: zero-mean N(0, cov). two_cluster_gaussian: equal-weight mixture of
     two Gaussians sharing cov, with per-coordinate means drawn uniformly from
-    [mean_low, mean_high]. binarized_two_cluster: the mixture, thresholded per
-    column at its column mean. independent_gaussian: standard normals (cov
-    ignored). With return_params=True also returns the drawn parameters.
+    [CLUSTER_MEAN_LOW, CLUSTER_MEAN_HIGH). binarized_two_cluster: the mixture,
+    thresholded per column at its column mean. independent_gaussian: standard
+    normals (cov ignored).
     """
     rng = np.random.default_rng(spec.seed)
     names = _feature_names(spec.dim)
-    params: dict = {}
     if spec.family == "independent_gaussian":
         values = rng.standard_normal((spec.n_samples, spec.dim))
         kind = CONTINUOUS
@@ -93,21 +94,16 @@ def sample(spec: GeneratorSpec, cov: np.ndarray | None = None, return_params: bo
             values = rng.standard_normal((spec.n_samples, spec.dim)) @ chol.T
             kind = CONTINUOUS
         else:
-            means = rng.uniform(spec.mean_low, spec.mean_high, size=(2, spec.dim))
+            means = rng.uniform(CLUSTER_MEAN_LOW, CLUSTER_MEAN_HIGH, size=(2, spec.dim))
             labels = rng.integers(0, 2, size=spec.n_samples)
             noise = rng.standard_normal((spec.n_samples, spec.dim)) @ chol.T
             values = means[labels] + noise
-            params["means"] = means
-            params["labels"] = labels
             kind = CONTINUOUS
             if spec.family == "binarized_two_cluster":
-                thresholds = values.mean(axis=0)
-                params["thresholds"] = thresholds
-                values = (values > thresholds).astype(np.float64)
+                values = (values > values.mean(axis=0)).astype(np.float64)
                 kind = BINARY
     features = tuple(FeatureMeta(name=n, kind=kind) for n in names)
-    ds = Dataset(name=f"{spec.family}-{spec.seed}", values=values, features=features)
-    return (ds, params) if return_params else ds
+    return Dataset(name=f"{spec.family}-{spec.seed}", values=values, features=features)
 
 
 def square_transform(column: np.ndarray) -> np.ndarray:

@@ -367,7 +367,7 @@ def test_07a_stable_matching_oracle():
         values = np.round(rng.random((nr, nc)), 1)  # one decimal forces ties
         rows = [f"r{i}" for i in range(nr)]
         cols = [f"c{j}" for j in range(nc)]
-        sim = SimilarityMatrix("A", "B", rows, cols, values)
+        sim = SimilarityMatrix(rows, cols, values)
         got = {
             int(p.feature_a[1:]): int(p.feature_b[1:])
             for p in gale_shapley(sim, direction="auto")

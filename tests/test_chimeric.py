@@ -219,7 +219,6 @@ def test_translation_recovers_true_pairs():
     model = train(ds_a, ds_b, cfg)
     z = translate(model, ds_a.values, "a_to_b")
     sim = chimeric_dependence(ds_a, z, model.features_b)
-    assert sim.mode == "pearson"
     diag = np.array([sim.values[i, i] for i in range(4, 8)])
     assert diag.mean() > 0.9
 
@@ -296,10 +295,9 @@ def test_chimeric_dependence_mutual_information():
     vals[:, 1] = 5.0  # constant feature rows get flagged
     ds = make_dataset(vals)
     z = rng.standard_normal((60, 2))
-    sim = chimeric_dependence(ds, z, ["t0", "t1"], measure="mutual_information",
-                              bins=5)
+    sim = chimeric_dependence(ds, z, ["t0", "t1"], measure="mutual_information")
     for j in range(2):
-        assert sim.values[0, j] == mutual_information(vals[:, 0], z[:, j], bins=5)
+        assert sim.values[0, j] == mutual_information(vals[:, 0], z[:, j], bins=8)
     assert sim.degenerate[1].all()
     assert not sim.degenerate[0].any()
 

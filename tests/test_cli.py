@@ -114,6 +114,17 @@ def test_tune_reports_grid_scores(tmp_path, capsys):
         stored["best_index"]]
 
 
+def test_tune_rejects_zero_folds(tmp_path, capsys, caplog):
+    d = _synth(tmp_path, seed=5)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps([{}]))
+    rc = main(["tune", *_pair_args(d), "--method", "kmf", "--protocol", "half_split",
+               "--folds", "0", "--grid", str(grid_path)])
+    assert rc == 1
+    assert capsys.readouterr().out == ""  # no NaN score printed
+    assert "folds >= 1" in caplog.text
+
+
 def test_bench_prints_summary_path(tmp_path, capsys):
     cfg = {
         "name": "cli-smoke", "family": "independent_gaussian", "dim": 6,

@@ -1,10 +1,15 @@
 """Data model, delimited-text ingestion, encodings, and preprocessing."""
 
+import math
+import tempfile
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schemamatch.core import (
     BINARY,
@@ -32,8 +37,9 @@ from helpers import make_dataset
 def test_feature_meta_validation():
     with pytest.raises(ValueError):
         FeatureMeta(name="x", kind="ordinal")
-    with pytest.raises(ValueError):
-        FeatureMeta(name="x", certainty_weight=-0.5)
+    for bad in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="certainty_weight"):
+            FeatureMeta(name="x", certainty_weight=bad)
     m = FeatureMeta(name="x", kind=BINARY, certainty_weight=2.0)
     assert m.certainty_weight == 2.0
 
@@ -142,8 +148,8 @@ def test_one_hot_encode_levels_and_kinds():
     assert kinds["cat=red"] == BINARY
     assert ds.column("cat=red").tolist() == [1.0, 0.0, 1.0]
     assert ds.column("cat=blue").tolist() == [0.0, 1.0, 0.0]
-    red = [f for f in ds.features if f.name == "cat=red"][0]
-    assert red.origin == "onehot" and red.parent == "cat" and red.level == "red"
+    parents = {f.name: f.parent for f in ds.features}
+    assert parents == {"x": None, "flag": None, "cat=blue": "cat", "cat=red": "cat"}
 
 
 def test_one_hot_encode_requires_complete_table():
@@ -276,6 +282,77 @@ def test_mapped_sidecar_weights(tmp_path):
     names, weights = read_mapped_sidecar(path)
     assert names == ["c0", "c1"]
     assert weights == {"c0": 0.25}
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_load_dataset_rejects_bad_sidecar_weight(tmp_path, weight):
+    csv_path = _write(tmp_path / "t.csv", "m0,u0\n1,2\n3,5\n4,4\n")
+    side = _write(tmp_path / "t.mapped", f"m0,{weight}\n")
+    with pytest.raises(ValueError, match="certainty_weight of 'm0'"):
+        load_dataset(csv_path, side)
+
+
+# ---------------------------------------------------------------- fuzzed loading
+
+_NAMES = ["x", "y", "c", "c=a"]  # "c=a" collides with a one-hot member of c
+_NUMBER = st.integers(-3, 3).map(str) | st.floats(-1e6, 1e6).map(repr)
+_TEXT = st.text("ab", min_size=1, max_size=2)
+_MISSING = st.sampled_from(["", " ", "NA", "nan", "NULL", "None"])
+_WEIGHT = st.sampled_from(["", "0", "0.5", "2", "-1", "nan", "inf", "-inf", "abc"])
+
+
+@st.composite
+def _csv_and_sidecar(draw):
+    """CSV text and sidecar text. Each column holds numbers, strings or both,
+    with missing cells; now and then a column or mapped name repeats or a cell
+    is not finite. Mapped names mostly come from the header."""
+    header = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+    if draw(st.integers(0, 9)) == 7:
+        header.append(header[0])
+    n_rows = draw(st.integers(0, 6))
+    columns = []
+    for _ in header:
+        kind = draw(st.sampled_from([_NUMBER, _TEXT, _NUMBER | _TEXT]))
+        columns.append(draw(st.lists(st.one_of(kind, kind, kind, _MISSING),
+                                     min_size=n_rows, max_size=n_rows)))
+    rows = [list(r) for r in zip(*columns)]
+    if rows and draw(st.integers(0, 4)) == 3:  # one non-finite or overflowing number
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(header) - 1))] = draw(
+            st.sampled_from(["inf", "-inf", "Infinity", "1e400", "1e308"]))
+    csv_text = "\n".join(",".join(r) for r in [header] + rows) + "\n"
+    known = st.sampled_from(header)
+    mapped = draw(st.lists(st.one_of(known, known, known, st.sampled_from(["q", "c=b"])),
+                           min_size=1, max_size=3, unique=True))
+    if draw(st.integers(0, 9)) == 7:
+        mapped.append(mapped[0])
+    weights = draw(st.lists(st.none() | _WEIGHT, min_size=len(mapped),
+                            max_size=len(mapped)))
+    sidecar = "".join(n + ("" if w is None else f",{w}") + "\n"
+                      for n, w in zip(mapped, weights))
+    return csv_text, sidecar
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_csv_and_sidecar())
+@example(("m0,u0\n1,2\n3,5\n4,4\n", "m0,nan\n"))
+@example(("m0,u0\n1,2\n3,5\n4,4\n", "m0,inf\n"))
+def test_load_dataset_fuzz(files):
+    """Any small CSV and sidecar loads into finite values and finite,
+    non-negative weights, or fails with ValueError or KeyError."""
+    csv_text, sidecar = files
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = _write(Path(tmp) / "t.csv", csv_text)
+        side_path = _write(Path(tmp) / "t.mapped", sidecar)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # single-level columns, overflow
+                ds = load_dataset(csv_path, side_path)
+        except (ValueError, KeyError):
+            return
+    assert np.isfinite(ds.values).all()
+    for meta in ds.features:
+        assert math.isfinite(meta.certainty_weight) and meta.certainty_weight >= 0
 
 
 # ---------------------------------------------------------------- scenarios

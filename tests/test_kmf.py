@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from schemamatch.kmf import (
-    Fingerprint,
     PromotionPolicy,
     fingerprint_translation,
     fingerprints,
@@ -13,7 +12,7 @@ from schemamatch.kmf import (
     select_for_promotion,
 )
 from schemamatch.matcher import MatchProposal
-from schemamatch.stats import cosine, pearson
+from schemamatch.stats import SimilarityMatrix, cosine, pearson
 from helpers import make_dataset
 
 
@@ -24,18 +23,27 @@ def _corr_dataset(n=500, p=6, k=2, seed=0):
     return make_dataset(x, mapped_count=k)
 
 
+def _fp(vectors, names=None):
+    """A fingerprint matrix built by hand: one row per vector."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    names = names or [f"u{i}" for i in range(vectors.shape[0])]
+    return SimilarityMatrix(names, [f"m{j}" for j in range(vectors.shape[1])], vectors)
+
+
 # ---------------------------------------------------------------- fingerprints
 
 def test_fingerprints_are_mapped_correlations():
     ds = _corr_dataset()
-    fps = fingerprints(ds)
-    assert [fp.feature for fp in fps] == ds.unmapped_names
-    for fp in fps:
-        col = ds.column(fp.feature)
+    fp = fingerprints(ds)
+    assert fp.row_features == ds.unmapped_names
+    assert fp.col_features == ds.mapped_names
+    for i, name in enumerate(fp.row_features):
+        col = ds.column(name)
         for j, mname in enumerate(ds.mapped_names):
-            assert fp.vector[j] == pytest.approx(pearson(col, ds.column(mname)),
-                                                 abs=1e-10)
-        assert not fp.degenerate.any()
+            assert fp.values[i, j] == pytest.approx(pearson(col, ds.column(mname)),
+                                                    abs=1e-10)
+    assert not fp.degenerate.any()
+    assert fp.values.flags.c_contiguous
 
 
 def test_fingerprint_of_duplicated_mapped_column():
@@ -43,26 +51,25 @@ def test_fingerprint_of_duplicated_mapped_column():
     base = rng.standard_normal((100, 2))
     vals = np.column_stack([base, base[:, 0]])  # c2 duplicates mapped c0
     ds = make_dataset(vals, mapped_count=2)
-    fp = fingerprints(ds)[0]
-    assert fp.vector[0] == pytest.approx(1.0, abs=1e-12)
+    assert fingerprints(ds).values[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fingerprints_validation_and_empty():
     ds = _corr_dataset(k=0)
     with pytest.raises(ValueError):
         fingerprints(ds)
-    full = _corr_dataset(p=3, k=3)
-    assert fingerprints(full) == []
+    full = fingerprints(_corr_dataset(p=3, k=3))
+    assert full.values.shape == (0, 3)
+    assert full.row_features == []
 
 
 def test_fingerprint_affine_invariance():
     ds = _corr_dataset(seed=2)
-    fps1 = fingerprints(ds)
+    fp1 = fingerprints(ds)
     scaled = make_dataset(ds.values * 3.5 + 1.25, mapped_count=ds.mapped_count,
                           names=ds.feature_names)
-    fps2 = fingerprints(scaled)
-    for a, b in zip(fps1, fps2):
-        assert np.allclose(a.vector, b.vector, atol=1e-9)
+    fp2 = fingerprints(scaled)
+    assert np.allclose(fp1.values, fp2.values, atol=1e-9)
 
 
 def test_fingerprint_null_entries_small():
@@ -70,20 +77,17 @@ def test_fingerprint_null_entries_small():
     rng = np.random.default_rng(3)
     n = 4000
     ds = make_dataset(rng.standard_normal((n, 12)), mapped_count=4)
-    fps = fingerprints(ds)
-    worst = max(np.abs(fp.vector).max() for fp in fps)
-    assert worst < 4.0 / np.sqrt(n)
+    assert np.abs(fingerprints(ds).values).max() < 4.0 / np.sqrt(n)
 
 
 # ---------------------------------------------------------------- similarity
 
 def test_kmf_similarity_self_match_diagonal():
     ds = _corr_dataset(seed=4)
-    fps = fingerprints(ds)
-    sim = kmf_similarity(fps, fps)
+    fp = fingerprints(ds)
+    sim = kmf_similarity(fp, fp)
     assert np.allclose(np.diag(sim.values), 1.0, atol=1e-12)
-    assert sim.row_features == [fp.feature for fp in fps]
-    assert sim.mode == "cosine"
+    assert sim.row_features == sim.col_features == ds.unmapped_names
 
 
 def test_kmf_similarity_matches_scalar_cosine():
@@ -91,10 +95,9 @@ def test_kmf_similarity_matches_scalar_cosine():
     ds_b = _corr_dataset(seed=6)
     fa, fb = fingerprints(ds_a), fingerprints(ds_b)
     sim = kmf_similarity(fa, fb)
-    for i, fpa in enumerate(fa):
-        for j, fpb in enumerate(fb):
-            assert sim.values[i, j] == pytest.approx(
-                cosine(fpa.vector, fpb.vector), abs=1e-12)
+    for i, va in enumerate(fa.values):
+        for j, vb in enumerate(fb.values):
+            assert sim.values[i, j] == pytest.approx(cosine(va, vb), abs=1e-12)
 
 
 def test_kmf_similarity_transpose_symmetry():
@@ -107,22 +110,21 @@ def test_kmf_similarity_transpose_symmetry():
 
 
 def test_kmf_similarity_degenerate_fingerprint():
-    k = 3
-    good = Fingerprint("u", np.array([0.5, 0.1, -0.2]), np.zeros(3, dtype=bool))
-    flat = Fingerprint("v", np.zeros(3), np.ones(3, dtype=bool))
-    sim = kmf_similarity([good, flat], [good])
+    good = [0.5, 0.1, -0.2]
+    sim = kmf_similarity(_fp([good, [0.0, 0.0, 0.0]], names=["u", "v"]),
+                         _fp([good], names=["u"]))
     assert sim.values[1, 0] == 0.0
     assert sim.degenerate[1, 0]
     assert not sim.degenerate[0, 0]
 
 
 def test_kmf_similarity_validation():
-    fp2 = Fingerprint("u", np.zeros(2), np.zeros(2, dtype=bool))
-    fp3 = Fingerprint("v", np.zeros(3), np.zeros(3, dtype=bool))
-    with pytest.raises(ValueError):
-        kmf_similarity([], [fp2])
-    with pytest.raises(ValueError):
-        kmf_similarity([fp2], [fp3])
+    with pytest.raises(ValueError, match="lengths differ"):
+        kmf_similarity(_fp([[0.0, 0.0]]), _fp([[0.0, 0.0, 0.0]]))
+    # no unmapped feature on one side: an empty market, not an error
+    empty = kmf_similarity(_fp(np.zeros((0, 2))), _fp([[0.3, 0.4]]))
+    assert empty.values.shape == (0, 1)
+    assert empty.col_features == ["u0"]
 
 
 # ---------------------------------------------------------------- translation
@@ -130,16 +132,14 @@ def test_kmf_similarity_validation():
 def test_fingerprint_translation_columns():
     rng = np.random.default_rng(9)
     mapped = rng.standard_normal((50, 3))
-    fps = [Fingerprint(f"u{i}", rng.standard_normal(3), np.zeros(3, dtype=bool))
-           for i in range(4)]
-    z = fingerprint_translation(mapped, fps)
+    fp = _fp(rng.standard_normal((4, 3)))
+    z = fingerprint_translation(mapped, fp)
     assert z.shape == (50, 4)
-    for j, fp in enumerate(fps):
-        want = mapped @ fp.vector
-        assert np.allclose(z[:, j], want, atol=1e-12)
-    assert fingerprint_translation(mapped, []).shape == (50, 0)
+    for j, vector in enumerate(fp.values):
+        assert np.allclose(z[:, j], mapped @ vector, atol=1e-12)
+    assert fingerprint_translation(mapped, _fp(np.zeros((0, 3)))).shape == (50, 0)
     with pytest.raises(ValueError):
-        fingerprint_translation(mapped[:, :2], fps)
+        fingerprint_translation(mapped[:, :2], fp)
 
 
 # ---------------------------------------------------------------- promotion

@@ -23,8 +23,8 @@ def sim_matrix(values, degenerate=None):
     values = np.asarray(values, dtype=np.float64)
     rows = [f"a{i}" for i in range(values.shape[0])]
     cols = [f"b{j}" for j in range(values.shape[1])]
-    return SimilarityMatrix(row_label="A", col_label="B", row_features=rows,
-                            col_features=cols, values=values, degenerate=degenerate)
+    return SimilarityMatrix(row_features=rows, col_features=cols, values=values,
+                            degenerate=degenerate)
 
 
 # ------------------------------------------------------- brute-force oracle
@@ -152,8 +152,7 @@ def test_direction_auto_vs_forced():
 def test_degenerate_entries_rank_last():
     values = np.array([[0.0, 0.2], [0.0, 0.9]])
     degen = np.array([[True, False], [True, False]])
-    sim = SimilarityMatrix(row_label="A", col_label="B",
-                           row_features=["a0", "a1"], col_features=["b0", "b1"],
+    sim = SimilarityMatrix(row_features=["a0", "a1"], col_features=["b0", "b1"],
                            values=values, degenerate=degen)
     props = gale_shapley(sim, direction="rows_apply")
     pairs = {p.feature_a: p.feature_b for p in props}

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from schemamatch import pipeline
 from schemamatch.chimeric import ChimericConfig, translate
 from schemamatch.core import ScenarioSpec, from_dict
 from schemamatch.kang import KangConfig
@@ -85,8 +86,10 @@ def test_evaluate_hand_case():
     assert (rep.tp, rep.fp, rep.fn) == (1, 1, 2)
     assert rep.n_gold == 3
     assert rep.f1 == pytest.approx(2 * 1 / (2 * 1 + 1 + 2))
-    assert rep.outcomes == [("a0", "b0", "tp"), ("a1", "b2", "fp"),
-                            ("x0", "y0", "ignored")]
+    # each accepted proposal alone: a gold pair, a wrong partner for two gold
+    # features, and a pair of features with no gold partner (ignored)
+    alone = [evaluate([p], _spec()) for p in props[:3]]
+    assert [(r.tp, r.fp) for r in alone] == [(1, 0), (0, 1), (0, 0)]
 
 
 def test_evaluate_one_sided_gold_is_fp():
@@ -138,29 +141,52 @@ def test_derive_seed_properties():
 
 # ---------------------------------------------------------------- tuning
 
-def test_tune_kmf_ignores_config_axis():
+def _record_folds(monkeypatch):
+    """Wrap the pipeline's run_method and evaluate; returns the lists of
+    methods run and of fold F1s that tune_hyperparams fills as it scores."""
+    runs, f1s = [], []
+    run, ev = pipeline.run_method, pipeline.evaluate
+
+    def counted(method, *args, **kwargs):
+        runs.append(method)
+        return run(method, *args, **kwargs)
+
+    def scored(proposals, spec):
+        rep = ev(proposals, spec)
+        f1s.append(rep.f1)
+        return rep
+
+    monkeypatch.setattr(pipeline, "run_method", counted)
+    monkeypatch.setattr(pipeline, "evaluate", scored)
+    return runs, f1s
+
+
+def test_tune_kmf_ignores_config_axis(monkeypatch):
     ds_a, ds_b = correlated_pair(400, 6, 2, seed=5)
     grid = [ChimericConfig(latent_dim=2, hidden=(4, 4)),
             ChimericConfig(latent_dim=3, hidden=(4, 4))]
+    runs, f1s = _record_folds(monkeypatch)
     res = tune_hyperparams(ds_a, ds_b, grid, protocol="leave_one_out",
                            method="kmf")
-    assert len(res.fold_scores) == 2
-    assert all(len(s) == 2 for s in res.fold_scores)  # one fold per mapped pair
+    assert len(runs) == len(f1s) == 2 * 2  # per config, one fold per mapped pair
+    assert res.mean_scores == [np.mean(f1s[:2]), np.mean(f1s[2:])]
     assert res.mean_scores[0] == res.mean_scores[1]
     assert res.best_score == res.mean_scores[res.best_index]
-    assert all(0.0 <= f <= 1.0 for s in res.fold_scores for f in s)
+    assert all(0.0 <= f <= 1.0 for f in f1s)
 
 
-def test_tune_half_split_and_kang():
+def test_tune_half_split_and_kang(monkeypatch):
     ds_a, ds_b = correlated_pair(300, 5, 4, seed=6)
     grid = [KangConfig(iterations=50, seed=1)]
+    runs, f1s = _record_folds(monkeypatch)
     res = tune_hyperparams(ds_a, ds_b, grid, protocol="half_split", folds=3,
                            method="kang")
-    assert len(res.fold_scores) == 1
-    assert len(res.fold_scores[0]) == 3
+    assert len(runs) == 3
+    assert len(res.mean_scores) == 1
     again = tune_hyperparams(ds_a, ds_b, grid, protocol="half_split", folds=3,
                              method="kang")
-    assert res.fold_scores == again.fold_scores
+    assert f1s[3:] == f1s[:3]
+    assert again == res
 
 
 def test_tune_validation():
@@ -173,6 +199,11 @@ def test_tune_validation():
     with pytest.raises(ValueError, match="protocol"):
         tune_hyperparams(ds_a, ds_b, [ChimericConfig()], protocol="thirds",
                          method="kmf")
+    # no fold would leave the mean score NaN
+    for folds in (0, -1):
+        with pytest.raises(ValueError, match="folds"):
+            tune_hyperparams(ds_a, ds_b, [ChimericConfig()], protocol="half_split",
+                             folds=folds, method="kmf")
 
 
 # ---------------------------------------------------------------- methods

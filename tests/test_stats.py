@@ -368,20 +368,19 @@ def test_pearson_matrix_needs_rows():
         pearson_matrix(np.ones((2, 2)), np.ones((2, 2)))
 
 
-def _sim(values, mode="pearson"):
+def _sim(values):
     values = np.asarray(values, dtype=np.float64)
     rows = [f"r{i}" for i in range(values.shape[0])]
     cols = [f"c{j}" for j in range(values.shape[1])]
-    return SimilarityMatrix(row_label="A", col_label="B", row_features=rows,
-                            col_features=cols, values=values, mode=mode)
+    return SimilarityMatrix(row_features=rows, col_features=cols, values=values)
 
 
 def test_similarity_matrix_validation():
     with pytest.raises(ValueError):
         _sim(np.full((2, 2), np.nan))
     with pytest.raises(ValueError):
-        SimilarityMatrix(row_label="A", col_label="B", row_features=["r0"],
-                         col_features=["c0", "c1"], values=np.ones((2, 2)))
+        SimilarityMatrix(row_features=["r0"], col_features=["c0", "c1"],
+                         values=np.ones((2, 2)))
 
 
 def test_similarity_matrix_submatrix():

@@ -61,15 +61,22 @@ def test_feature_names_zero_padded():
     assert ds.feature_names[-1] == "f11"
 
 
+def _replay_two_cluster(cov, dim, n, seed):
+    """The generator's draws for a two-cluster family, in its order: cluster
+    means, labels, then the correlated noise."""
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(10.0, 20.0, size=(2, dim))
+    labels = rng.integers(0, 2, size=n)
+    noise = rng.standard_normal((n, dim)) @ np.linalg.cholesky(cov).T
+    return means, labels, means[labels] + noise
+
+
 def test_two_cluster_params_and_structure():
     cov = make_covariance(CovarianceSpec(dim=5, factor_dim=2, seed=3))
-    ds, params = sample(
-        GeneratorSpec(family="two_cluster_gaussian", dim=5, n_samples=8000, seed=4),
-        cov, return_params=True,
-    )
-    means = params["means"]
-    labels = params["labels"]
-    assert means.shape == (2, 5)
+    ds = sample(GeneratorSpec(family="two_cluster_gaussian", dim=5, n_samples=8000,
+                              seed=4), cov)
+    means, labels, values = _replay_two_cluster(cov, 5, 8000, seed=4)
+    assert np.array_equal(ds.values, values)
     assert ((means >= 10.0) & (means <= 20.0)).all()
     assert set(np.unique(labels)) == {0, 1}
     for c in (0, 1):
@@ -79,13 +86,13 @@ def test_two_cluster_params_and_structure():
 
 def test_binarized_two_cluster_is_binary():
     cov = make_covariance(CovarianceSpec(dim=5, factor_dim=2, seed=5))
-    ds, params = sample(
-        GeneratorSpec(family="binarized_two_cluster", dim=5, n_samples=4000, seed=6),
-        cov, return_params=True,
-    )
+    ds = sample(GeneratorSpec(family="binarized_two_cluster", dim=5, n_samples=4000,
+                              seed=6), cov)
     assert set(np.unique(ds.values)) <= {0.0, 1.0}
     assert all(f.kind == BINARY for f in ds.features)
-    assert params["thresholds"].shape == (5,)
+    # the mixture, thresholded per column at its column mean
+    _, _, values = _replay_two_cluster(cov, 5, 4000, seed=6)
+    assert np.array_equal(ds.values, values > values.mean(axis=0))
     frac = ds.values.mean(axis=0)
     assert ((frac > 0.05) & (frac < 0.95)).all()
 

@@ -14,9 +14,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import Dataset, from_dict
-from .neural import Adam, Mlp, PlateauScheduler, load_mlp_arrays, mlp_arrays
+from .neural import ACTIVATIONS, Adam, Mlp, PlateauScheduler, load_mlp_arrays, mlp_arrays
 from .stats import SimilarityMatrix, discretize, mutual_information_codes, pearson_matrix
 
+MEASURES = ("pearson", "mutual_information")
 LOSS_KEYS = ("ae_a", "ae_b", "ce_a", "ce_b", "cy_a", "cy_b", "orth", "total")
 
 
@@ -50,6 +51,11 @@ class ChimericConfig:
             raise ValueError("hidden must be two positive widths")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
+        for name in (self.activation, self.latent_activation, self.output_activation):
+            if name not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {name!r}")
 
 
 @dataclass

@@ -21,6 +21,8 @@ class KangConfig:
     bins: int = 8
 
     def __post_init__(self):
+        if self.bins < 2:
+            raise ValueError("bins must be >= 2")
         if self.metric not in ("euclidean", "normal"):
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.alpha <= 0:
@@ -40,20 +42,23 @@ class KangResult:
     pair_scores: np.ndarray  # per-position summed similarity contribution
 
 
+def _mi_fill(out: np.ndarray, codes: list, start: int) -> None:
+    """Write the entropy diagonal and each pair's mutual information (lower
+    index first, mirrored) into every row and column of `out` from `start` on."""
+    for j in range(start, len(codes)):
+        out[j, j] = entropy_codes(codes[j])
+        for i in range(j):
+            out[i, j] = out[j, i] = mutual_information_codes(codes[i], codes[j])
+
+
 def mi_matrix(values: np.ndarray, bins: int = 8) -> np.ndarray:
     """Symmetric pairwise mutual information; the diagonal holds entropies."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError("values must be 2-D")
     codes = [discretize(col, bins) for col in values.T]  # bin each column once
-    p = len(codes)
-    out = np.zeros((p, p))
-    for i in range(p):
-        out[i, i] = entropy_codes(codes[i])
-        for j in range(i + 1, p):
-            mi = mutual_information_codes(codes[i], codes[j])
-            out[i, j] = mi
-            out[j, i] = mi
+    out = np.zeros((len(codes), len(codes)))
+    _mi_fill(out, codes, 0)
     return out
 
 
@@ -80,10 +85,7 @@ def _knockoff_pad(side: str, mi: np.ndarray, data, width: int, rng, bins: int) -
     codes += [discretize(values[rng.permutation(n), src], bins) for src in sources]
     out = np.zeros((width, width))
     out[:p, :p] = mi
-    for j in range(p, width):
-        out[j, j] = entropy_codes(codes[j])
-        for i in range(j):  # lower index first, as mi_matrix orders each pair
-            out[i, j] = out[j, i] = mutual_information_codes(codes[i], codes[j])
+    _mi_fill(out, codes, p)
     return out
 
 

@@ -10,14 +10,15 @@ import numpy as np
 
 from .core import Dataset, reorder_mapped_first
 from .matcher import MatchProposal
-from .stats import SimilarityMatrix, pearson_matrix
+from .stats import SimilarityMatrix, cosine_matrix, pearson_matrix
 
 
 def fingerprints(ds: Dataset) -> SimilarityMatrix:
     """Fingerprint every unmapped column of a dataset with mapped_count >= 1:
     row i holds the correlations of unmapped feature i to the mapped features,
     in mapped order; degenerate marks entries recorded as 0 for zero-variance
-    inputs."""
+    inputs. kmf_similarity reads only `.values`, and flags an all-zero
+    fingerprint row by the same zero-column rule."""
     k = ds.mapped_count
     if k < 1:
         raise ValueError("fingerprints need at least one mapped feature")
@@ -28,21 +29,9 @@ def fingerprints(ds: Dataset) -> SimilarityMatrix:
 def kmf_similarity(fp_a: SimilarityMatrix, fp_b: SimilarityMatrix) -> SimilarityMatrix:
     """Pairwise cosine similarity between the fingerprint rows of two
     databases. Zero-vector fingerprints yield 0 with the degenerate flag set."""
-    va, vb = fp_a.values, fp_b.values
-    if va.shape[1] != vb.shape[1]:
+    if fp_a.values.shape[1] != fp_b.values.shape[1]:
         raise ValueError("fingerprint lengths differ between databases")
-    na = np.linalg.norm(va, axis=1)
-    nb = np.linalg.norm(vb, axis=1)
-    bad_a = na == 0
-    bad_b = nb == 0
-    na_safe = np.where(bad_a, 1.0, na)
-    nb_safe = np.where(bad_b, 1.0, nb)
-    sim = (va / na_safe[:, None]) @ (vb / nb_safe[:, None]).T
-    sim = np.clip(sim, -1.0, 1.0)
-    degen = np.zeros(sim.shape, dtype=bool)
-    degen[bad_a, :] = True
-    degen[:, bad_b] = True
-    sim[degen] = 0.0
+    sim, degen = cosine_matrix(fp_a.values.T, fp_b.values.T)
     return SimilarityMatrix(fp_a.row_features, fp_b.row_features, sim, degen)
 
 

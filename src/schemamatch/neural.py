@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_ACTIVATIONS = ("linear", "tanh", "relu", "sigmoid")
+ACTIVATIONS = ("linear", "tanh", "relu", "sigmoid")
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 PLATEAU_THRESHOLD, PLATEAU_MIN_LR = 1e-4, 1e-6  # relative improvement; lr floor
@@ -76,7 +76,7 @@ class Mlp:
         if len(activations) != len(sizes) - 1:
             raise ValueError("need one activation per weight layer")
         for a in activations:
-            if a not in _ACTIVATIONS:
+            if a not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {a!r}")
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")

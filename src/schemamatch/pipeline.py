@@ -13,7 +13,7 @@ import numpy as np
 
 from . import chimeric as chimeric_mod
 from . import kang as kang_mod
-from .core import Dataset, ScenarioSpec, unit_norm
+from .core import Dataset, ScenarioSpec, reorder_mapped_first, unit_norm
 from .kmf import (
     PromotionPolicy,
     fingerprint_translation,
@@ -21,7 +21,7 @@ from .kmf import (
     kmf_similarity,
     promote_matches,
 )
-from .matcher import MatchProposal, gale_shapley, holdout_filter
+from .matcher import DIRECTIONS, MatchProposal, gale_shapley, holdout_filter
 from .stats import wilcoxon_ranksum
 from .synthgen import CovarianceSpec, GeneratorSpec, build_scenario, make_covariance, sample
 
@@ -41,6 +41,12 @@ class MatchSettings:
     def __post_init__(self):
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in (0, 1)")
+        if not 0.0 < self.fdr_q < 1.0:
+            raise ValueError("fdr_q must be in (0, 1)")
+        if self.direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {self.direction!r}")
+        if self.measure not in chimeric_mod.MEASURES:
+            raise ValueError(f"unknown measure {self.measure!r}")
 
 
 @dataclass
@@ -72,6 +78,14 @@ def split_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarr
     return np.sort(order[n_hold:]), np.sort(order[:n_hold])
 
 
+def _split_pair(ds_a: Dataset, ds_b: Dataset, settings: MatchSettings):
+    """(a_train, a_hold, b_train, b_hold): both databases split as `settings` say."""
+    tr_a, ho_a = split_rows(ds_a.n_rows, settings.holdout_fraction, settings.split_seed)
+    tr_b, ho_b = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
+    return (ds_a.subset_rows(tr_a), ds_a.subset_rows(ho_a),
+            ds_b.subset_rows(tr_b), ds_b.subset_rows(ho_b))
+
+
 def _kmf_stage(ds_a: Dataset, ds_b: Dataset, settings: MatchSettings):
     """Fingerprint matching with hold-out FDR filtering. Returns the scored
     proposals. The hold-out statistic correlates each A column with the linear
@@ -80,10 +94,7 @@ def _kmf_stage(ds_a: Dataset, ds_b: Dataset, settings: MatchSettings):
         raise ValueError("KMF needs at least one mapped feature")
     if not ds_a.unmapped_names or not ds_b.unmapped_names:
         return []
-    tr_a, ho_a = split_rows(ds_a.n_rows, settings.holdout_fraction, settings.split_seed)
-    tr_b, ho_b = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
-    a_train, a_hold = ds_a.subset_rows(tr_a), ds_a.subset_rows(ho_a)
-    b_train = ds_b.subset_rows(tr_b)
+    a_train, a_hold, b_train, _ = _split_pair(ds_a, ds_b, settings)
     fp_a, fp_b = fingerprints(a_train), fingerprints(b_train)
     sim = kmf_similarity(fp_a, fp_b)
     proposals = gale_shapley(sim, direction=settings.direction)
@@ -114,10 +125,7 @@ def _chimeric_stage(
     correlations, and filter on hold-out rows. Returns (proposals, model).
     The source side's columns are scored against the translation of its rows:
     A against A->B, or B against B->A with flip_translation."""
-    tr_a, ho_a = split_rows(ds_a.n_rows, settings.holdout_fraction, settings.split_seed)
-    tr_b, ho_b = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
-    a_train, a_hold = ds_a.subset_rows(tr_a), ds_a.subset_rows(ho_a)
-    b_train, b_hold = ds_b.subset_rows(tr_b), ds_b.subset_rows(ho_b)
+    a_train, a_hold, b_train, b_hold = _split_pair(ds_a, ds_b, settings)
     model = chimeric_mod.train(a_train, b_train, cfg)
     if not ds_a.unmapped_names or not ds_b.unmapped_names:
         return [], model
@@ -293,8 +301,6 @@ class TuneResult:
 
 def _hide_mapped(ds_a: Dataset, ds_b: Dataset, hide_positions) -> tuple[Dataset, Dataset, ScenarioSpec]:
     """Demote mapped positions to unmapped on both sides; gold = hidden pairs."""
-    from .core import reorder_mapped_first
-
     k = ds_a.mapped_count
     keep = [i for i in range(k) if i not in set(hide_positions)]
     names_a = ds_a.mapped_names

@@ -43,12 +43,7 @@ def cosine(u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError("cosine expects two equal-length 1-D arrays")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    c = float(u @ v) / (nu * nv)
-    return max(-1.0, min(1.0, c))
+    return float(cosine_matrix(u[:, None], v[:, None])[0][0, 0])
 
 
 def pearson_pvalue(r: float, n: int) -> float:
@@ -166,22 +161,15 @@ def wilcoxon_ranksum(a, b) -> tuple[float, float]:
         raise ValueError("wilcoxon_ranksum expects two non-empty 1-D arrays")
     na, nb = a.size, b.size
     pooled = np.concatenate([a, b])
+    if not np.all(np.isfinite(pooled)):
+        raise ValueError("wilcoxon_ranksum needs finite values")
     n = na + nb
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(n, dtype=np.float64)
-    sorted_vals = pooled[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank
-        i = j + 1
-    r_a = float(ranks[:na].sum())
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2  # mean 1-based rank of each tie group
+    r_a = float(midranks[inverse[:na]].sum())
     u = r_a - na * (na + 1) / 2.0
     mu = na * nb / 2.0
     # tie correction on the variance
-    _, counts = np.unique(sorted_vals, return_counts=True)
     tie_term = float(np.sum(counts.astype(np.float64) ** 3 - counts)) / (n * (n - 1))
     var = na * nb / 12.0 * ((n + 1) - tie_term)
     if var <= 0:
@@ -228,8 +216,24 @@ class SimilarityMatrix:
         )
 
 
+def cosine_matrix(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine similarity between every column of x and every column of z.
+
+    Returns (values, degenerate_mask); a zero column gives 0 in its row or
+    column of values, flagged degenerate.
+    """
+    xs = np.sqrt((x * x).sum(axis=0))
+    zs = np.sqrt((z * z).sum(axis=0))
+    degen = (xs == 0)[:, None] | (zs == 0)
+    values = (x / np.where(xs == 0, 1.0, xs)).T @ (z / np.where(zs == 0, 1.0, zs))
+    values = np.clip(values, -1.0, 1.0)
+    values[degen] = 0.0
+    return values, degen
+
+
 def pearson_matrix(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-by-column Pearson correlations between two row-aligned matrices.
+    """Column-by-column Pearson correlations between two row-aligned matrices:
+    the cosine of the centred columns.
 
     Returns (values, degenerate_mask); degenerate columns give 0 rows/cols.
     """
@@ -239,18 +243,4 @@ def pearson_matrix(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise ValueError("row counts differ")
     if x.shape[0] < 3:
         raise ValueError("need at least 3 rows")
-    xc = x - x.mean(axis=0)
-    zc = z - z.mean(axis=0)
-    xs = np.sqrt((xc * xc).sum(axis=0))
-    zs = np.sqrt((zc * zc).sum(axis=0))
-    bad_x = xs == 0
-    bad_z = zs == 0
-    xs_safe = np.where(bad_x, 1.0, xs)
-    zs_safe = np.where(bad_z, 1.0, zs)
-    corr = (xc / xs_safe).T @ (zc / zs_safe)
-    corr = np.clip(corr, -1.0, 1.0)
-    degen = np.zeros(corr.shape, dtype=bool)
-    degen[bad_x, :] = True
-    degen[:, bad_z] = True
-    corr[degen] = 0.0
-    return corr, degen
+    return cosine_matrix(x - x.mean(axis=0), z - z.mean(axis=0))

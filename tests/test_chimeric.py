@@ -70,6 +70,12 @@ def test_config_validation():
         ChimericConfig(batch_size=0)
     with pytest.raises(ValueError):
         ChimericConfig(epochs=0)
+    for dropout in (-0.1, 1.0):
+        with pytest.raises(ValueError, match="dropout"):
+            ChimericConfig(dropout=dropout)
+    for field in ("activation", "latent_activation", "output_activation"):
+        with pytest.raises(ValueError, match="activation"):
+            ChimericConfig(**{field: "softmax"})
 
 
 def test_config_from_dict():

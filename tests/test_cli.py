@@ -158,6 +158,18 @@ def test_bench_rejects_misspelled_config_key(tmp_path, caplog):
     assert "n_trial" in caplog.text
 
 
+def test_bench_rejects_bad_config_values(tmp_path, caplog):
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({
+        "settings": {"direction": "sideways", "fdr_q": 1.5}, "kang": {"bins": 1},
+    }))
+    out_dir = tmp_path / "bench"
+    rc = main(["bench", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert rc == 1
+    assert len(caplog.records) == 1
+    assert not out_dir.exists()
+
+
 def test_match_rejects_non_finite_cell(tmp_path, caplog):
     d = _synth(tmp_path)
     lines = (d / "a.csv").read_text().splitlines()

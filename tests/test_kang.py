@@ -59,6 +59,8 @@ def test_kang_config_validation():
         KangConfig(alpha=0.0)
     with pytest.raises(ValueError, match="iterations"):
         KangConfig(iterations=0)
+    with pytest.raises(ValueError, match="bins"):
+        KangConfig(bins=1)
 
 
 # ---------------------------------------------------------------- matching

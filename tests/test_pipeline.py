@@ -62,6 +62,13 @@ def test_match_settings_validation():
         MatchSettings(holdout_fraction=0.0)
     with pytest.raises(ValueError):
         MatchSettings(holdout_fraction=1.0)
+    for q in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="fdr_q"):
+            MatchSettings(fdr_q=q)
+    with pytest.raises(ValueError, match="direction"):
+        MatchSettings(direction="sideways")
+    with pytest.raises(ValueError, match="measure"):
+        MatchSettings(measure="spearman")
 
 
 # ---------------------------------------------------------------- evaluate

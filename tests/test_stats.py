@@ -2,6 +2,9 @@
 and property tests."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from schemamatch.stats import (
     SimilarityMatrix,
     by_stepdown,
     cosine,
+    cosine_matrix,
     entropy,
     mutual_information,
     pearson,
@@ -337,6 +341,44 @@ def test_wilcoxon_validation():
         wilcoxon_ranksum(np.array([]), np.ones(3))
     with pytest.raises(ValueError):
         wilcoxon_ranksum(np.ones((2, 2)), np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        wilcoxon_ranksum([1.0, math.nan, math.nan], [2.0, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        wilcoxon_ranksum([1.0, 2.0], [3.0, math.inf])
+
+
+def loop_midranks(values):
+    """Midranks by walking the sorted values one tie group at a time."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_wilcoxon_u_equals_loop_midrank_sum():
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        na, nb = rng.integers(1, 12, size=2)
+        a = rng.integers(0, 4, size=na) * 0.5
+        b = rng.integers(0, 5, size=nb) * 0.5
+        ranks = loop_midranks(np.concatenate([a, b]))
+        u, _ = wilcoxon_ranksum(a, b)
+        assert u == float(ranks[:na].sum()) - na * (na + 1) / 2.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second and tens of MB at import
+    code = "import sys, schemamatch; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- matrices
@@ -361,6 +403,22 @@ def test_pearson_matrix_degenerate_flags():
     corr, degen = pearson_matrix(x, z)
     assert degen[1].all() and not degen[0].any()
     assert (corr[1] == 0.0).all()
+
+
+def test_cosine_matrix_direct_formula_and_zero_columns():
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((6, 3))
+    z = rng.standard_normal((6, 2))
+    x[:, 2] = 0.0
+    values, degen = cosine_matrix(x, z)
+    assert values.shape == degen.shape == (3, 2)
+    assert degen[2].all() and not degen[:2].any()
+    assert (values[2] == 0.0).all()
+    for i in range(2):
+        for j in range(2):
+            u, v = x[:, i], z[:, j]
+            direct = math.fsum(u * v) / math.sqrt(math.fsum(u * u) * math.fsum(v * v))
+            assert values[i, j] == pytest.approx(direct, abs=1e-12)
 
 
 def test_pearson_matrix_needs_rows():

@@ -6,7 +6,6 @@ features to propose matches and to impute unshared columns across databases.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -164,23 +163,14 @@ def _orth_loss(lat: np.ndarray, eps: float = 1e-12):
     return norm, grad
 
 
-def _pair_grads(first, second) -> list[np.ndarray]:
-    """Gradients of an (encoder, decoder) pair in optimizer order, from two side
-    passes' contributions, each parameter's summed in the order computed."""
-    grads = []
-    for contribs in (first[0] + second[0], first[1] + second[1]):
-        grads += [functools.reduce(np.add, parts) for parts in zip(*contribs)]
-    return grads
-
-
 def _side_pass(
     f_src: Mlp, g_src: Mlp, f_dst: Mlp, g_dst: Mlp,
-    x: np.ndarray, k: int, weights: np.ndarray, cfg: ChimericConfig, rng,
+    x: np.ndarray, k: int, weights: np.ndarray, cfg: ChimericConfig, rng, grads: dict,
 ):
     """One direction of the objective: reconstruction, cross-reconstruction of
     the mapped block through the other decoder, cycle consistency, and latent
-    orthogonalization. Returns the losses and, for the source and destination
-    pair, (encoder, decoder) lists of gradient contributions."""
+    orthogonalization. Adds each network's parameter gradients into
+    grads[network], in the order computed, and returns the losses."""
     lat, c_enc = f_src.forward(x, train=True, rng=rng)
     rec, c_dec = g_src.forward(lat, train=True, rng=rng)
     z, c_xdec = g_dst.forward(lat, train=True, rng=rng)
@@ -202,10 +192,15 @@ def _side_pass(
     # encoder sees all three latent consumers
     d_lat = d_lat_ae + d_lat_x + cfg.w_orth * d_lat_orth
     g5, _ = f_src.backward(c_enc, d_lat)
+    for net, part in ((g_src, g1), (g_src, g2), (f_dst, g3), (g_dst, g4), (f_src, g5)):
+        if net in grads:
+            for acc, g in zip(grads[net], part):
+                acc += g
+        else:
+            grads[net] = part
 
     total = ae + cfg.w_cross * ce + cfg.w_cycle * cy + cfg.w_orth * orth
-    losses = {"ae": ae, "ce": ce, "cy": cy, "orth": orth, "total": total}
-    return losses, ([g5], [g1, g2]), ([g3], [g4])
+    return {"ae": ae, "ce": ce, "cy": cy, "orth": orth, "total": total}
 
 
 def train(ds_a: Dataset, ds_b: Dataset, cfg: ChimericConfig | None = None) -> ChimericModel:
@@ -255,20 +250,19 @@ def train(ds_a: Dataset, ds_b: Dataset, cfg: ChimericConfig | None = None) -> Ch
             ib = rng.choice(n_b, size=min(cfg.batch_size, n_b), replace=False)
             xa = xa_all[ia]
             xb = xb_all[ib]
-            la, a_own, b_from_a = _side_pass(enc_a, dec_a, enc_b, dec_b,
-                                             xa, k, w_a, cfg, rng)
-            lb, b_own, a_from_b = _side_pass(enc_b, dec_b, enc_a, dec_a,
-                                             xb, k, w_b, cfg, rng)
+            grads: dict[Mlp, list[np.ndarray]] = {}
+            la = _side_pass(enc_a, dec_a, enc_b, dec_b, xa, k, w_a, cfg, rng, grads)
+            lb = _side_pass(enc_b, dec_b, enc_a, dec_a, xb, k, w_b, cfg, rng, grads)
             total = la["total"] + lb["total"]
             if not math.isfinite(total):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch} step {step}: "
                     f"A={la} B={lb}"
                 )
-            opt_a.step(_pair_grads(a_own, a_from_b))
+            opt_a.step(grads[enc_a] + grads[dec_a])
             enc_a.mark_updated()
             dec_a.mark_updated()
-            opt_b.step(_pair_grads(b_from_a, b_own))
+            opt_b.step(grads[enc_b] + grads[dec_b])
             enc_b.mark_updated()
             dec_b.mark_updated()
             sums["ae_a"] += la["ae"]

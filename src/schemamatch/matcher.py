@@ -15,10 +15,12 @@ DIRECTIONS = ("auto", "rows_apply", "cols_apply")
 
 @dataclass(frozen=True)
 class MatchProposal:
-    """One proposed feature pair. `feature_a` always names the row side of the
-    similarity matrix that produced it. rank_of_choice is 1-based from the
-    applicant's preference list; the default 0 marks a proposal that did not
-    come from one."""
+    """One proposed feature pair: `feature_a` is database A's feature and
+    `feature_b` database B's. gale_shapley puts the similarity matrix's row
+    feature in `feature_a`, so a caller that matches B's rows against A's
+    columns (the chimeric stage under flip_translation) swaps each pair back.
+    rank_of_choice is 1-based from the applicant's preference list; the
+    default 0 marks a proposal that did not come from one."""
 
     feature_a: str
     feature_b: str

@@ -151,20 +151,15 @@ class Mlp:
         expect = (last.inputs.shape[0], self.out_dim)
         if g.shape != expect:
             raise ValueError(f"grad_output shape {g.shape} != {expect}")
-        w_grads: list[np.ndarray] = [None] * len(self.weights)
-        b_grads: list[np.ndarray] = [None] * len(self.biases)
+        grads: list[np.ndarray] = [None] * (2 * len(self.weights))
         for i in range(len(self.weights) - 1, -1, -1):
             layer = cache.layers[i]
             if layer.mask is not None:
                 g = g * layer.mask
             dz = g * _activate_grad(self.activations[i], layer.pre, layer.post)
-            w_grads[i] = layer.inputs.T @ dz
-            b_grads[i] = dz.sum(axis=0)
+            grads[2 * i] = layer.inputs.T @ dz
+            grads[2 * i + 1] = dz.sum(axis=0)
             g = dz @ self.weights[i].T
-        grads = []
-        for wg, bg in zip(w_grads, b_grads):
-            grads.append(wg)
-            grads.append(bg)
         return grads, g
 
 

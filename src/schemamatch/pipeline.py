@@ -78,76 +78,27 @@ def split_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarr
     return np.sort(order[n_hold:]), np.sort(order[:n_hold])
 
 
-def _split_pair(ds_a: Dataset, ds_b: Dataset, settings: MatchSettings):
-    """(a_train, a_hold, b_train, b_hold): both databases split as `settings` say."""
-    tr_a, ho_a = split_rows(ds_a.n_rows, settings.holdout_fraction, settings.split_seed)
-    tr_b, ho_b = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
-    return (ds_a.subset_rows(tr_a), ds_a.subset_rows(ho_a),
-            ds_b.subset_rows(tr_b), ds_b.subset_rows(ho_b))
-
-
-def _kmf_stage(ds_a: Dataset, ds_b: Dataset, settings: MatchSettings):
-    """Fingerprint matching with hold-out FDR filtering. Returns the scored
-    proposals. The hold-out statistic correlates each A column with the linear
-    fingerprint translation of its proposed B partner over hold-out rows."""
+def run_kmf(ds_a: Dataset, ds_b: Dataset, settings: MatchSettings | None = None) -> MethodResult:
+    """Fingerprint matching with hold-out FDR filtering. The hold-out statistic
+    correlates each A column with the linear fingerprint translation of its
+    proposed B partner over A's hold-out rows."""
+    settings = settings or MatchSettings()
     if ds_a.mapped_count < 1:
         raise ValueError("KMF needs at least one mapped feature")
     if not ds_a.unmapped_names or not ds_b.unmapped_names:
-        return []
-    a_train, a_hold, b_train, _ = _split_pair(ds_a, ds_b, settings)
-    fp_a, fp_b = fingerprints(a_train), fingerprints(b_train)
+        return MethodResult(method="kmf", proposals=[])
+    tr_a, ho_a = split_rows(ds_a.n_rows, settings.holdout_fraction, settings.split_seed)
+    tr_b, _ = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
+    fp_a, fp_b = fingerprints(ds_a.subset_rows(tr_a)), fingerprints(ds_b.subset_rows(tr_b))
     sim = kmf_similarity(fp_a, fp_b)
     proposals = gale_shapley(sim, direction=settings.direction)
-    translated = fingerprint_translation(a_hold.values[:, : ds_a.mapped_count], fp_b)
-    return holdout_filter(
-        proposals,
-        a_hold.values,
-        a_hold.feature_names,
-        translated,
-        fp_b.row_features,
+    a_hold = ds_a.values[ho_a]
+    translated = fingerprint_translation(a_hold[:, : ds_a.mapped_count], fp_b)
+    proposals = holdout_filter(
+        proposals, a_hold, ds_a.feature_names, translated, fp_b.row_features,
         q=settings.fdr_q,
     )
-
-
-def run_kmf(ds_a: Dataset, ds_b: Dataset, settings: MatchSettings | None = None) -> MethodResult:
-    settings = settings or MatchSettings()
-    proposals = _kmf_stage(ds_a, ds_b, settings)
     return MethodResult(method="kmf", proposals=proposals)
-
-
-def _chimeric_stage(
-    ds_a: Dataset,
-    ds_b: Dataset,
-    cfg: chimeric_mod.ChimericConfig,
-    settings: MatchSettings,
-):
-    """Train the paired autoencoders, match the unmapped blocks on translated
-    correlations, and filter on hold-out rows. Returns (proposals, model).
-    The source side's columns are scored against the translation of its rows:
-    A against A->B, or B against B->A with flip_translation."""
-    a_train, a_hold, b_train, b_hold = _split_pair(ds_a, ds_b, settings)
-    model = chimeric_mod.train(a_train, b_train, cfg)
-    if not ds_a.unmapped_names or not ds_b.unmapped_names:
-        return [], model
-    flip = settings.flip_translation
-    src, src_train, src_hold, dst = ((ds_b, b_train, b_hold, ds_a) if flip
-                                     else (ds_a, a_train, a_hold, ds_b))
-    direction = "b_to_a" if flip else "a_to_b"
-    z_train = chimeric_mod.translate(model, src_train.values, direction)
-    sim_full = chimeric_mod.chimeric_dependence(
-        src_train, z_train, dst.feature_names, measure=settings.measure
-    )
-    sub = sim_full.submatrix(src.unmapped_names, dst.unmapped_names)
-    raw = gale_shapley(sub, direction=settings.direction)
-    z_hold = chimeric_mod.translate(model, src_hold.values, direction)
-    proposals = holdout_filter(
-        raw, src_hold.values, src_hold.feature_names, z_hold,
-        dst.feature_names, q=settings.fdr_q,
-    )
-    if flip:
-        proposals = [replace(p, feature_a=p.feature_b, feature_b=p.feature_a)
-                     for p in proposals]
-    return proposals, model
 
 
 def run_chimeric(
@@ -156,9 +107,38 @@ def run_chimeric(
     cfg: chimeric_mod.ChimericConfig | None = None,
     settings: MatchSettings | None = None,
 ) -> MethodResult:
+    """Train the paired autoencoders on both training splits, match the
+    unmapped blocks on translated correlations, and filter on hold-out rows.
+    The source side's columns are scored against the translation of its rows:
+    A against A->B, or B against B->A with flip_translation, whose pairs are
+    swapped back so feature_a names A's feature. The trained model is returned
+    also when a side has no unmapped feature and nothing is proposed."""
     cfg = cfg or chimeric_mod.ChimericConfig()
     settings = settings or MatchSettings()
-    proposals, model = _chimeric_stage(ds_a, ds_b, cfg, settings)
+    tr_a, ho_a = split_rows(ds_a.n_rows, settings.holdout_fraction, settings.split_seed)
+    tr_b, ho_b = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
+    a_train, b_train = ds_a.subset_rows(tr_a), ds_b.subset_rows(tr_b)
+    model = chimeric_mod.train(a_train, b_train, cfg)
+    if not ds_a.unmapped_names or not ds_b.unmapped_names:
+        return MethodResult(method="chimeric", proposals=[], model=model)
+    flip = settings.flip_translation
+    src, src_train, ho_src, dst = ((ds_b, b_train, ho_b, ds_a) if flip
+                                   else (ds_a, a_train, ho_a, ds_b))
+    direction = "b_to_a" if flip else "a_to_b"
+    z_train = chimeric_mod.translate(model, src_train.values, direction)
+    sim_full = chimeric_mod.chimeric_dependence(
+        src_train, z_train, dst.feature_names, measure=settings.measure
+    )
+    sub = sim_full.submatrix(src.unmapped_names, dst.unmapped_names)
+    raw = gale_shapley(sub, direction=settings.direction)
+    x_hold = src.values[ho_src]
+    z_hold = chimeric_mod.translate(model, x_hold, direction)
+    proposals = holdout_filter(
+        raw, x_hold, src.feature_names, z_hold, dst.feature_names, q=settings.fdr_q,
+    )
+    if flip:
+        proposals = [replace(p, feature_a=p.feature_b, feature_b=p.feature_a)
+                     for p in proposals]
     return MethodResult(method="chimeric", proposals=proposals, model=model)
 
 
@@ -170,19 +150,18 @@ def run_two_stage(
 ) -> MethodResult:
     """Fingerprint matching first; confident pairs join the mapped prefix, then
     the autoencoder stage re-matches whatever is left. The returned proposals
-    are the promoted pairs plus the second-stage scored proposals."""
-    cfg = cfg or chimeric_mod.ChimericConfig()
+    are the promoted pairs plus the second-stage scored proposals. No network
+    is trained when promotion leaves a side with no unmapped feature."""
     settings = settings or MatchSettings()
-    stage_one = _kmf_stage(ds_a, ds_b, settings)
+    stage_one = run_kmf(ds_a, ds_b, settings).proposals
     ds_a2, ds_b2, promoted = promote_matches(ds_a, ds_b, stage_one, settings.promotion)
-    model = None
-    stage_two: list[MatchProposal] = []
+    stage_two = MethodResult(method="chimeric", proposals=[])
     if ds_a2.unmapped_names and ds_b2.unmapped_names:
-        stage_two, model = _chimeric_stage(ds_a2, ds_b2, cfg, settings)
+        stage_two = run_chimeric(ds_a2, ds_b2, cfg, settings)
     return MethodResult(
         method="kmf_then_chimeric",
-        proposals=promoted + stage_two,
-        model=model,
+        proposals=promoted + stage_two.proposals,
+        model=stage_two.model,
         stage_one=stage_one,
         promoted=promoted,
         mapped_after_promotion=ds_a2.mapped_count,
@@ -406,6 +385,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
+        if self.n_trials < 1 or self.n_perms < 1:
+            raise ValueError("n_trials and n_perms must be at least 1")
 
 
 # role tags for seed derivation

@@ -170,6 +170,20 @@ def test_bench_rejects_bad_config_values(tmp_path, caplog):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("key", ["n_trials", "n_perms"])
+def test_bench_rejects_zero_replicates(tmp_path, caplog, key):
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({
+        "methods": ["kmf"], key: 0, "dim": 6, "factor_dim": 3, "n_samples": 300,
+    }))
+    out_dir = tmp_path / "bench"
+    rc = main(["bench", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert rc == 1
+    assert len(caplog.records) == 1
+    assert key in caplog.text
+    assert not out_dir.exists()
+
+
 def test_match_rejects_non_finite_cell(tmp_path, caplog):
     d = _synth(tmp_path)
     lines = (d / "a.csv").read_text().splitlines()

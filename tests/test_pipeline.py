@@ -12,7 +12,7 @@ from schemamatch import pipeline
 from schemamatch.chimeric import ChimericConfig, translate
 from schemamatch.core import ScenarioSpec, from_dict
 from schemamatch.kang import KangConfig
-from schemamatch.kmf import PromotionPolicy
+from schemamatch.kmf import PromotionPolicy, promote_matches
 from schemamatch.matcher import MatchProposal
 from schemamatch.pipeline import (
     ExperimentConfig,
@@ -23,6 +23,7 @@ from schemamatch.pipeline import (
     run_kang,
     run_method,
     run_chimeric,
+    run_kmf,
     run_replicate,
     run_two_stage,
     split_rows,
@@ -244,6 +245,70 @@ def test_run_two_stage_structure():
 
 
 @pytest.mark.parametrize("flip", [False, True])
+def test_run_two_stage_is_its_composition(flip):
+    ds_a, ds_b = correlated_pair(600, 8, 4, seed=9)
+    cfg = ChimericConfig(latent_dim=2, hidden=(8, 4), epochs=2, lr=1e-3, seed=1)
+    settings = MatchSettings(split_seed=2, flip_translation=flip,
+                             promotion=PromotionPolicy(kind="top_fraction", value=0.5))
+    res = run_two_stage(ds_a, ds_b, cfg, settings)
+    ds_a2, ds_b2, promoted = promote_matches(
+        ds_a, ds_b, run_kmf(ds_a, ds_b, settings).proposals, settings.promotion)
+    direct = run_chimeric(ds_a2, ds_b2, cfg, settings)
+    assert 0 < len(promoted) < 4  # both stages have pairs to match
+    assert direct.proposals
+    assert res.promoted == promoted
+    assert res.proposals[len(promoted):] == direct.proposals
+    for net in ("encoder_a", "decoder_a", "encoder_b", "decoder_b"):
+        ours = getattr(res.model, net).parameters()
+        theirs = getattr(direct.model, net).parameters()
+        assert all(np.array_equal(x, y) for x, y in zip(ours, theirs, strict=True))
+
+
+_SMALL_CFGS = dict(
+    chimeric_cfg=ChimericConfig(latent_dim=2, hidden=(8, 4), epochs=2, lr=1e-3, seed=1),
+    kang_cfg=KangConfig(iterations=100, seed=1),
+)
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+@pytest.mark.parametrize("k", [1, 5])
+def test_run_method_at_extreme_mapped_counts(method, k):
+    # k = 1 and k = p - 1: one mapped column, or one unmapped column a side
+    ds_a, ds_b = correlated_pair(300, 6, k, seed=4)
+    res = run_method(method, ds_a, ds_b, **_SMALL_CFGS)
+    assert res.method == method
+    assert len(res.proposals) == 6 - k
+    for p in res.proposals:
+        assert p.feature_a in ds_a.unmapped_names
+        assert p.feature_b in ds_b.unmapped_names
+    if method == "chimeric":
+        assert res.model is not None
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_run_method_when_every_column_is_mapped(method):
+    ds_a, ds_b = correlated_pair(300, 6, 6, seed=4)
+    res = run_method(method, ds_a, ds_b, **_SMALL_CFGS)
+    assert res.proposals == []
+    # chimeric still trains; the two-stage run has nothing left to train on
+    assert (res.model is not None) == (method == "chimeric")
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_run_method_at_the_smallest_holdout(method):
+    # ceil(0.25 * 16) = 4 hold-out rows, the fewest holdout_filter scores
+    ds_a, ds_b = correlated_pair(16, 6, 2, seed=4)
+    assert len(run_method(method, ds_a, ds_b, **_SMALL_CFGS).proposals) == 4
+    # ceil(0.25 * 12) = 3: every method that splits rows refuses; kang splits none
+    ds_a, ds_b = correlated_pair(12, 6, 2, seed=4)
+    if method == "kang":
+        assert len(run_method(method, ds_a, ds_b, **_SMALL_CFGS).proposals) == 4
+    else:
+        with pytest.raises(ValueError, match="too few"):
+            run_method(method, ds_a, ds_b, **_SMALL_CFGS)
+
+
+@pytest.mark.parametrize("flip", [False, True])
 def test_run_chimeric_translation_direction(flip):
     ds_a, ds_b = correlated_pair(300, 6, 2, seed=14)
     ds_b = replace(ds_b, features=tuple(
@@ -317,6 +382,10 @@ def test_experiment_config_validation():
         ExperimentConfig(methods=("kmf", "psychic"))
     with pytest.raises(ValueError, match="sweep_values"):
         ExperimentConfig(sweep_values=())
+    with pytest.raises(ValueError, match="n_trials"):
+        ExperimentConfig(n_trials=0)
+    with pytest.raises(ValueError, match="n_perms"):
+        ExperimentConfig(n_perms=0)
 
 
 # ---------------------------------------------------------------- benchmark

@@ -89,28 +89,39 @@ def _knockoff_pad(side: str, mi: np.ndarray, data, width: int, rng, bins: int) -
     return out
 
 
-def _pair_terms(mi_a: np.ndarray, mi_b: np.ndarray, pi: np.ndarray,
-                i: int, cfg: KangConfig) -> np.ndarray:
-    """Similarity terms between position i and every other position under pi."""
-    diffs = mi_a[i, :] - mi_b[pi[i], pi]
-    if cfg.metric == "euclidean":
-        terms = -(diffs * diffs)
-    else:
-        terms = np.exp(-(diffs * diffs) / cfg.alpha)
-    terms[i] = 0.0
+def _pair_matrix(mi_a: np.ndarray, mi_b: np.ndarray, pi: np.ndarray,
+                 cfg: KangConfig) -> np.ndarray:
+    """Similarity term of every position pair (k, l) under pi; zero diagonal."""
+    d2 = (mi_a - mi_b[np.ix_(pi, pi)]) ** 2
+    terms = -d2 if cfg.metric == "euclidean" else np.exp(-d2 / cfg.alpha)
+    np.fill_diagonal(terms, 0.0)
     return terms
 
 
 def _objective(mi_a: np.ndarray, mi_b: np.ndarray, pi: np.ndarray,
                cfg: KangConfig) -> float:
     """Total similarity over unordered pairs; higher is better for both metrics."""
-    perm = mi_b[np.ix_(pi, pi)]
-    diffs = mi_a - perm
-    iu = np.triu_indices(mi_a.shape[0], k=1)
-    d2 = diffs[iu] ** 2
+    terms = _pair_matrix(mi_a, mi_b, pi, cfg)
+    return float(np.sum(terms[np.triu_indices(len(pi), k=1)]))
+
+
+def _swap_gain(mi_a: np.ndarray, bp: np.ndarray, i: int, j: int,
+               cfg: KangConfig) -> float:
+    """Objective gain from swapping the B columns at positions i and j, where
+    bp = mi_b[np.ix_(pi, pi)] under the current pi. Only the pairs (i, k) and
+    (j, k) with k outside {i, j} change, so rows i and j of both symmetric
+    matrices give the gain in O(p) (Taillard 1991)."""
+    a_i, a_j, b_i, b_j = mi_a[i], mi_a[j], bp[i], bp[j]
     if cfg.metric == "euclidean":
-        return float(-np.sum(d2))
-    return float(np.sum(np.exp(-d2 / cfg.alpha)))
+        # the squares cancel: -2 * sum over k outside {i, j} of (a_ik - a_jk)(b_ik - b_jk)
+        da = a_i - a_j
+        db = b_i - b_j
+        return -2.0 * float(da @ db - da[i] * db[i] - da[j] * db[j])
+    # the two pairings the swap makes, then the two it breaks
+    e = np.exp(-np.square([a_i - b_j, a_j - b_i, a_i - b_i, a_j - b_j]) / cfg.alpha)
+    terms = e[0] + e[1] - e[2] - e[3]
+    terms[i] = terms[j] = 0.0
+    return float(terms.sum())
 
 
 def kang_match(
@@ -125,17 +136,24 @@ def kang_match(
     """Search for the assignment of B columns to A columns that best aligns the
     two MI matrices. known_pairs (index pairs) are fixed and never swapped.
 
-    Runs max(1, iterations // 500) random restarts of `iterations` proposed
-    pairwise swaps each, keeping the best objective seen. With unequal sizes
-    the smaller side is padded with knock-offs, which requires that side's data.
+    Runs max(1, iterations // 500) random restarts. Each starts from a random
+    permutation of the free columns, then draws all `iterations` proposals at
+    once: ordered pairs of distinct free positions, uniform over the m(m - 1)
+    choices. A proposal is scored by `_swap_gain` in O(p) from rows of a cached
+    mi_b[np.ix_(pi, pi)] and kept only if it raises the objective by more than
+    1e-15; the best restart wins. With fewer than two free positions nothing is
+    drawn. Both matrices must be symmetric (`mi_matrix` output is), since the
+    gain and the objective read one triangle. With unequal sizes the smaller
+    side is padded with knock-offs, which requires that side's data.
     """
     cfg = cfg or KangConfig()
     mi_a = np.asarray(mi_a, dtype=np.float64)
     mi_b = np.asarray(mi_b, dtype=np.float64)
-    if mi_a.ndim != 2 or mi_a.shape[0] != mi_a.shape[1]:
-        raise ValueError("mi_a must be square")
-    if mi_b.ndim != 2 or mi_b.shape[0] != mi_b.shape[1]:
-        raise ValueError("mi_b must be square")
+    for side, mi in (("mi_a", mi_a), ("mi_b", mi_b)):
+        if mi.ndim != 2 or mi.shape[0] != mi.shape[1]:
+            raise ValueError(f"{side} must be square")
+        if not np.array_equal(mi, mi.T):
+            raise ValueError(f"{side} must be symmetric")
     n_real_a = mi_a.shape[0]
     n_real_b = mi_b.shape[0]
     rng = np.random.default_rng(cfg.seed)
@@ -158,36 +176,34 @@ def kang_match(
         base[ia] = ib
     free_pos = np.array([i for i in range(p) if i not in fixed_a], dtype=np.int64)
     free_cols = np.array([j for j in range(p) if j not in fixed_b], dtype=np.int64)
+    m = len(free_pos)
 
     restarts = max(1, cfg.iterations // 500)
     best_pi = None
     best_obj = -np.inf
     for _ in range(restarts):
         pi = base.copy()
-        pi[free_pos] = free_cols[rng.permutation(len(free_cols))]
+        pi[free_pos] = free_cols[rng.permutation(m)]
         obj = _objective(mi_a, mi_b, pi, cfg)
-        if len(free_pos) >= 2:
-            for _ in range(cfg.iterations):
-                i, j = free_pos[rng.choice(len(free_pos), size=2, replace=False)]
-                ti = _pair_terms(mi_a, mi_b, pi, i, cfg)
-                tj = _pair_terms(mi_a, mi_b, pi, j, cfg)
-                before = ti.sum() + tj.sum() - ti[j]
-                pi[i], pi[j] = pi[j], pi[i]
-                ti = _pair_terms(mi_a, mi_b, pi, i, cfg)
-                tj = _pair_terms(mi_a, mi_b, pi, j, cfg)
-                after = ti.sum() + tj.sum() - ti[j]
-                if after > before + 1e-15:
-                    obj += after - before
-                else:
-                    pi[i], pi[j] = pi[j], pi[i]  # revert
+        if m >= 2:
+            first = rng.integers(0, m, size=cfg.iterations)
+            second = rng.integers(0, m - 1, size=cfg.iterations)
+            second += second >= first  # skip `first`: distinct and uniform
+            bp = mi_b[np.ix_(pi, pi)]
+            for i, j in zip(free_pos[first].tolist(), free_pos[second].tolist()):
+                gain = _swap_gain(mi_a, bp, i, j, cfg)
+                if gain > 1e-15:
+                    obj += gain
+                    pi[i], pi[j] = pi[j], pi[i]
+                    bp[[i, j]] = bp[[j, i]]
+                    bp[:, [i, j]] = bp[:, [j, i]]
         if obj > best_obj:
             best_obj = obj
-            best_pi = pi.copy()
+            best_pi = pi
 
-    scores = np.array([_pair_terms(mi_a, mi_b, best_pi, i, cfg).sum() for i in range(p)])
     return KangResult(
         assignment=best_pi,
         n_real_a=n_real_a,
         n_real_b=n_real_b,
-        pair_scores=scores,
+        pair_scores=_pair_matrix(mi_a, mi_b, best_pi, cfg).sum(axis=1),
     )

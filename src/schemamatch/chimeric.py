@@ -170,7 +170,8 @@ def _side_pass(
     """One direction of the objective: reconstruction, cross-reconstruction of
     the mapped block through the other decoder, cycle consistency, and latent
     orthogonalization. Adds each network's parameter gradients into
-    grads[network], in the order computed, and returns the losses."""
+    grads[network], in the order computed, and returns the losses
+    (ae, ce, cy, orth, total)."""
     lat, c_enc = f_src.forward(x, train=True, rng=rng)
     rec, c_dec = g_src.forward(lat, train=True, rng=rng)
     z, c_xdec = g_dst.forward(lat, train=True, rng=rng)
@@ -200,16 +201,16 @@ def _side_pass(
             grads[net] = part
 
     total = ae + cfg.w_cross * ce + cfg.w_cycle * cy + cfg.w_orth * orth
-    return {"ae": ae, "ce": ce, "cy": cy, "orth": orth, "total": total}
+    return ae, ce, cy, orth, total
 
 
 def train(ds_a: Dataset, ds_b: Dataset, cfg: ChimericConfig | None = None) -> ChimericModel:
     """Train the paired autoencoders on two preprocessed databases whose first K
     columns are the known-mapped block (same pairing order on both sides).
 
-    Per step, one mini-batch is drawn independently from each database; the two
-    parameter groups are updated in sequence with Adam. Any non-finite loss
-    aborts with TrainingDiverged.
+    Per step, one mini-batch is drawn independently from each database, and one
+    Adam step updates all four networks. Any non-finite loss aborts with
+    TrainingDiverged.
     """
     cfg = cfg or ChimericConfig()
     k = ds_a.mapped_count
@@ -224,11 +225,9 @@ def train(ds_a: Dataset, ds_b: Dataset, cfg: ChimericConfig | None = None) -> Ch
     w_a = np.array([f.certainty_weight for f in ds_a.features[:k]])
     w_b = np.array([f.certainty_weight for f in ds_b.features[:k]])
 
-    enc_a, dec_a, enc_b, dec_b = _build_networks(p_a, p_b, cfg)
-    opt_a = Adam(enc_a.parameters() + dec_a.parameters(), lr=cfg.lr,
-                 weight_decay=cfg.weight_decay)
-    opt_b = Adam(enc_b.parameters() + dec_b.parameters(), lr=cfg.lr,
-                 weight_decay=cfg.weight_decay)
+    nets = enc_a, dec_a, enc_b, dec_b = _build_networks(p_a, p_b, cfg)
+    opt = Adam([p for net in nets for p in net.parameters()], lr=cfg.lr,
+               weight_decay=cfg.weight_decay)
     sched = PlateauScheduler(cfg.lr, factor=cfg.lr_factor, patience=cfg.lr_patience)
     rng = np.random.default_rng([cfg.seed, 5])
 
@@ -241,43 +240,33 @@ def train(ds_a: Dataset, ds_b: Dataset, cfg: ChimericConfig | None = None) -> Ch
     xa_all = scaler_a.transform(ds_a.values)
     xb_all = scaler_b.transform(ds_b.values)
     steps = max(1, math.ceil(max(n_a, n_b) / cfg.batch_size))
-    trace: dict[str, list[float]] = {key: [] for key in LOSS_KEYS}
+    epoch_means = np.empty((cfg.epochs, len(LOSS_KEYS)))  # columns in LOSS_KEYS order
 
     for epoch in range(cfg.epochs):
-        sums = {key: 0.0 for key in LOSS_KEYS}
+        sums = np.zeros(len(LOSS_KEYS))
         for step in range(steps):
             ia = rng.choice(n_a, size=min(cfg.batch_size, n_a), replace=False)
             ib = rng.choice(n_b, size=min(cfg.batch_size, n_b), replace=False)
             xa = xa_all[ia]
             xb = xb_all[ib]
             grads: dict[Mlp, list[np.ndarray]] = {}
-            la = _side_pass(enc_a, dec_a, enc_b, dec_b, xa, k, w_a, cfg, rng, grads)
-            lb = _side_pass(enc_b, dec_b, enc_a, dec_a, xb, k, w_b, cfg, rng, grads)
-            total = la["total"] + lb["total"]
-            if not math.isfinite(total):
+            ae_a, ce_a, cy_a, orth_a, total_a = _side_pass(
+                enc_a, dec_a, enc_b, dec_b, xa, k, w_a, cfg, rng, grads)
+            ae_b, ce_b, cy_b, orth_b, total_b = _side_pass(
+                enc_b, dec_b, enc_a, dec_a, xb, k, w_b, cfg, rng, grads)
+            losses = np.array([ae_a, ae_b, ce_a, ce_b, cy_a, cy_b,
+                               orth_a + orth_b, total_a + total_b])
+            if not math.isfinite(losses[-1]):
+                terms = ", ".join(f"{key}={v}" for key, v in zip(LOSS_KEYS, losses))
                 raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} step {step}: "
-                    f"A={la} B={lb}"
-                )
-            opt_a.step(grads[enc_a] + grads[dec_a])
-            enc_a.mark_updated()
-            dec_a.mark_updated()
-            opt_b.step(grads[enc_b] + grads[dec_b])
-            enc_b.mark_updated()
-            dec_b.mark_updated()
-            sums["ae_a"] += la["ae"]
-            sums["ae_b"] += lb["ae"]
-            sums["ce_a"] += la["ce"]
-            sums["ce_b"] += lb["ce"]
-            sums["cy_a"] += la["cy"]
-            sums["cy_b"] += lb["cy"]
-            sums["orth"] += la["orth"] + lb["orth"]
-            sums["total"] += total
-        for key in LOSS_KEYS:
-            trace[key].append(sums[key] / steps)
-        lr = sched.update(trace["total"][-1])
-        opt_a.lr = lr
-        opt_b.lr = lr
+                    f"non-finite loss at epoch {epoch} step {step}: {terms}")
+            opt.step([g for net in nets for g in grads[net]])
+            for net in nets:
+                net.mark_updated()
+            sums += losses
+        epoch_means[epoch] = sums / steps
+        opt.lr = sched.update(epoch_means[epoch, -1])
+    trace = {key: col.tolist() for key, col in zip(LOSS_KEYS, epoch_means.T)}
 
     return ChimericModel(
         encoder_a=enc_a, decoder_a=dec_a, encoder_b=enc_b, decoder_b=dec_b,

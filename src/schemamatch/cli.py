@@ -145,7 +145,8 @@ def _cmd_tune(args) -> int:
     grid = [from_dict(cls, g) for g in grid_raw]
     result = tune_hyperparams(
         ds_a, ds_b, grid, protocol=args.protocol, folds=args.folds,
-        method=args.method, seed=args.seed,
+        method=args.method, settings=MatchSettings(split_seed=args.seed),
+        seed=args.seed,
     )
     out = {
         "best_index": result.best_index,

@@ -31,23 +31,23 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activate_grad(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """d activation / d preactivation, from preactivation z and output h."""
+def _backprop_activation(name: str, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """d loss / d preactivation from the output h and g = d loss / d h. Each
+    derivative is a function of h (relu's h > 0 is exactly z > 0)."""
     if name == "linear":
-        return np.ones_like(z)
+        return g
     if name == "tanh":
-        return 1.0 - h * h
+        return g * (1.0 - h * h)
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return g * (h > 0.0)
     if name == "sigmoid":
-        return h * (1.0 - h)
+        return g * (h * (1.0 - h))
     raise ValueError(f"unknown activation {name!r}")
 
 
 @dataclass
 class _LayerCache:
     inputs: np.ndarray
-    pre: np.ndarray
     post: np.ndarray  # activation output before dropout
     mask: np.ndarray | None  # inverted dropout mask, already scaled
 
@@ -124,8 +124,7 @@ class Mlp:
         layers: list[_LayerCache] = []
         a = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = a @ w + b
-            post = _activate(self.activations[i], pre)
+            post = _activate(self.activations[i], a @ w + b)
             mask = None
             out = post
             if train and self.dropout_rate > 0.0 and i in self.dropout_sites:
@@ -134,7 +133,7 @@ class Mlp:
                 keep = 1.0 - self.dropout_rate
                 mask = (rng.random(post.shape) < keep).astype(np.float64) / keep
                 out = post * mask
-            layers.append(_LayerCache(inputs=a, pre=pre, post=post, mask=mask))
+            layers.append(_LayerCache(inputs=a, post=post, mask=mask))
             a = out
         return a, ForwardCache(layers, self._version)
 
@@ -156,7 +155,7 @@ class Mlp:
             layer = cache.layers[i]
             if layer.mask is not None:
                 g = g * layer.mask
-            dz = g * _activate_grad(self.activations[i], layer.pre, layer.post)
+            dz = _backprop_activation(self.activations[i], layer.post, g)
             grads[2 * i] = layer.inputs.T @ dz
             grads[2 * i + 1] = dz.sum(axis=0)
             g = dz @ self.weights[i].T

@@ -307,11 +307,14 @@ def tune_hyperparams(
     seed: int = 0,
 ) -> TuneResult:
     """Score each candidate config by how well the method recovers deliberately
-    hidden mapped pairs, and pick the best mean score.
+    hidden mapped pairs, and pick the best mean score. kmf reads no config, so
+    it is rejected.
 
     leave_one_out: one fold per mapped position, hiding that single pair.
     half_split: `folds` random folds, each hiding half the mapped positions.
     """
+    if method == "kmf":
+        raise ValueError("kmf reads no config; there is nothing to tune")
     grid = list(grid)
     if not grid:
         raise ValueError("empty grid")

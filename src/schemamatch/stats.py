@@ -192,7 +192,7 @@ class SimilarityMatrix:
     row_features: list[str]
     col_features: list[str]
     values: np.ndarray
-    degenerate: np.ndarray | None = None
+    degenerate: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -200,9 +200,7 @@ class SimilarityMatrix:
             raise ValueError("values shape does not match feature lists")
         if np.any(~np.isfinite(self.values)):
             raise ValueError("similarity values must be finite")
-        if self.degenerate is None:
-            self.degenerate = np.zeros(self.values.shape, dtype=bool)
-        elif self.degenerate.shape != self.values.shape:
+        if self.degenerate.shape != self.values.shape:
             raise ValueError("degenerate mask shape mismatch")
 
     def submatrix(self, row_names, col_names) -> "SimilarityMatrix":

@@ -180,8 +180,9 @@ def test_training_divergence_is_reported():
     ds_a, ds_b = lownoise_pair(n=64, p=5, k=2, seed=1)
     cfg = ChimericConfig(latent_dim=2, hidden=(8, 8), epochs=10, lr=1e150,
                          seed=0, activation="linear", dropout=0.0, batch_size=16)
-    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
         train(ds_a, ds_b, cfg)
+    assert all(f"{key}=" in str(err.value) for key in LOSS_KEYS)
 
 
 def test_loss_trace_structure():
@@ -191,6 +192,7 @@ def test_loss_trace_structure():
     trace = model.loss_trace
     assert set(trace) == set(LOSS_KEYS)
     assert all(len(trace[k]) == 10 for k in LOSS_KEYS)
+    assert all(type(v) is float for k in LOSS_KEYS for v in trace[k])
     for i in range(10):
         want = (trace["ae_a"][i] + trace["ae_b"][i]
                 + cfg.w_cross * (trace["ce_a"][i] + trace["ce_b"][i])

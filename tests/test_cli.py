@@ -97,11 +97,11 @@ def test_translate_writes_rows_and_model(tmp_path):
 
 def test_tune_reports_grid_scores(tmp_path, capsys):
     d = _synth(tmp_path, seed=5)
+    grid = [{}, {"bins": 2}]  # on this scenario the coarser bins recover more
     grid_path = tmp_path / "grid.json"
-    grid_path.write_text(json.dumps(
-        [{"latent_dim": 2, "hidden": [4, 4]}, {}]))
+    grid_path.write_text(json.dumps(grid))
     out_path = tmp_path / "tune.json"
-    rc = main(["tune", *_pair_args(d), "--method", "kmf",
+    rc = main(["tune", *_pair_args(d), "--method", "kang",
                "--grid", str(grid_path), "--out", str(out_path)])
     assert rc == 0
     shown = json.loads(capsys.readouterr().out)
@@ -109,20 +109,33 @@ def test_tune_reports_grid_scores(tmp_path, capsys):
     assert shown == stored
     assert set(stored) == {"best_index", "best_score", "mean_scores",
                            "best_config"}
-    assert len(stored["mean_scores"]) == 2
-    assert stored["best_config"] == [{"latent_dim": 2, "hidden": [4, 4]}, {}][
-        stored["best_index"]]
+    first, second = stored["mean_scores"]
+    assert first != second
+    assert stored["best_index"] == int(second > first)
+    assert stored["best_score"] == max(first, second)
+    assert stored["best_config"] == grid[stored["best_index"]]
 
 
 def test_tune_rejects_zero_folds(tmp_path, capsys, caplog):
     d = _synth(tmp_path, seed=5)
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps([{}]))
-    rc = main(["tune", *_pair_args(d), "--method", "kmf", "--protocol", "half_split",
+    rc = main(["tune", *_pair_args(d), "--method", "kang", "--protocol", "half_split",
                "--folds", "0", "--grid", str(grid_path)])
     assert rc == 1
     assert capsys.readouterr().out == ""  # no NaN score printed
     assert "folds >= 1" in caplog.text
+
+
+def test_tune_rejects_kmf(tmp_path, capsys, caplog):
+    d = _synth(tmp_path, seed=5)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps([{}, {}]))
+    rc = main(["tune", *_pair_args(d), "--method", "kmf", "--grid", str(grid_path)])
+    assert rc == 1
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["kmf reads no config; there is nothing to tune"]
 
 
 def test_bench_prints_summary_path(tmp_path, capsys):

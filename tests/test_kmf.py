@@ -27,7 +27,8 @@ def _fp(vectors, names=None):
     """A fingerprint matrix built by hand: one row per vector."""
     vectors = np.asarray(vectors, dtype=np.float64)
     names = names or [f"u{i}" for i in range(vectors.shape[0])]
-    return SimilarityMatrix(names, [f"m{j}" for j in range(vectors.shape[1])], vectors)
+    return SimilarityMatrix(names, [f"m{j}" for j in range(vectors.shape[1])], vectors,
+                            np.zeros(vectors.shape, bool))
 
 
 # ---------------------------------------------------------------- fingerprints

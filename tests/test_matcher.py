@@ -23,6 +23,8 @@ def sim_matrix(values, degenerate=None):
     values = np.asarray(values, dtype=np.float64)
     rows = [f"a{i}" for i in range(values.shape[0])]
     cols = [f"b{j}" for j in range(values.shape[1])]
+    if degenerate is None:
+        degenerate = np.zeros(values.shape, bool)
     return SimilarityMatrix(row_features=rows, col_features=cols, values=values,
                             degenerate=degenerate)
 

@@ -3,8 +3,20 @@ scheduler recurrences, dropout statistics, and checkpointing."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from schemamatch.neural import Adam, Mlp, PlateauScheduler, load_mlp_arrays, mlp_arrays
+from schemamatch.neural import (
+    ACTIVATIONS,
+    Adam,
+    Mlp,
+    PlateauScheduler,
+    _activate,
+    _backprop_activation,
+    load_mlp_arrays,
+    mlp_arrays,
+)
 
 SMOOTH = ("linear", "tanh", "sigmoid")
 
@@ -68,14 +80,48 @@ def test_relu_gradient_away_from_kink():
     # regenerate inputs until no preactivation sits near the kink
     for _ in range(50):
         x = rng.standard_normal((3, 3))
-        _, cache = net.forward(x)
-        if np.abs(cache.layers[0].pre).min() > 1e-2:
+        if np.abs(x @ net.weights[0] + net.biases[0]).min() > 1e-2:
             break
     w_out = rng.standard_normal((3, 2))
     _, grads, _ = loss_and_grads(net, x, w_out)
     for p, g in zip(net.parameters(), grads):
         num = numeric_grad(lambda: loss_and_grads(net, x, w_out)[0], p)
         assert max_rel_error(g, num) < 1e-4
+
+
+def _derivative_from_preactivation(name, z):
+    """Each activation's derivative written in terms of z, as textbooks do."""
+    if name == "linear":
+        return np.ones_like(z)
+    if name == "tanh":
+        t = np.tanh(z)
+        return 1.0 - t * t
+    if name == "relu":
+        return (z > 0.0).astype(np.float64)
+    s = 1.0 / (1.0 + np.exp(-z))
+    return s * (1.0 - s)
+
+
+_EDGE_Z = [0.0, -0.0, -1.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0, 1e300, -1e300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(ACTIVATIONS),
+    z=hnp.arrays(np.float64, st.integers(1, 12),
+                 elements=st.one_of(st.sampled_from(_EDGE_Z),
+                                    st.floats(-1e300, 1e300, allow_nan=False))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_backprop_activation_equals_derivative_from_preactivation(name, z, seed):
+    """Backward reads only the activation output; the gradient it builds is
+    bit-identical to g times the derivative computed from the preactivation,
+    relu's h > 0 included (h = max(z, 0) is positive exactly when z is)."""
+    g = np.random.default_rng(seed).standard_normal(z.shape)
+    with np.errstate(over="ignore"):  # sigmoid's exp(-z) saturates at large negative z
+        h = _activate(name, z)
+        want = g * _derivative_from_preactivation(name, z)
+    assert np.array_equal(_backprop_activation(name, h, g), want)
 
 
 def test_forward_shapes_and_validation():
@@ -199,6 +245,29 @@ def test_adam_updates_in_place_and_validates():
         opt.step([np.ones((2, 2)), np.ones(2)])
     with pytest.raises(ValueError):
         opt.step([np.ones(3)])
+
+
+def test_one_adam_over_two_groups_equals_two_adams():
+    """Adam updates each element on its own, so one instance over two parameter
+    groups leaves the same bits as one instance per group, lr changes included."""
+    rng = np.random.default_rng(72)
+    shapes = [(3, 4), (4,), (4, 2), (2,)]
+    group_a = [rng.standard_normal(s) for s in shapes]
+    group_b = [rng.standard_normal(s) for s in shapes[::-1]]
+    joint = [p.copy() for p in group_a + group_b]
+    opt_a = Adam(group_a, lr=1e-2, weight_decay=1e-5)
+    opt_b = Adam(group_b, lr=1e-2, weight_decay=1e-5)
+    opt = Adam(joint, lr=1e-2, weight_decay=1e-5)
+    for step in range(20):
+        if step == 10:
+            opt_a.lr = opt_b.lr = opt.lr = 5e-3
+        grads_a = [rng.standard_normal(p.shape) for p in group_a]
+        grads_b = [rng.standard_normal(p.shape) for p in group_b]
+        opt_a.step(grads_a)
+        opt_b.step(grads_b)
+        opt.step(grads_a + grads_b)
+    for p, q in zip(group_a + group_b, joint):
+        assert np.array_equal(p, q)
 
 
 def test_adam_minimizes_quadratic():

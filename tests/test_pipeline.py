@@ -169,18 +169,14 @@ def _record_folds(monkeypatch):
     return runs, f1s
 
 
-def test_tune_kmf_ignores_config_axis(monkeypatch):
+def test_tune_rejects_kmf(monkeypatch):
     ds_a, ds_b = correlated_pair(400, 6, 2, seed=5)
     grid = [ChimericConfig(latent_dim=2, hidden=(4, 4)),
             ChimericConfig(latent_dim=3, hidden=(4, 4))]
-    runs, f1s = _record_folds(monkeypatch)
-    res = tune_hyperparams(ds_a, ds_b, grid, protocol="leave_one_out",
-                           method="kmf")
-    assert len(runs) == len(f1s) == 2 * 2  # per config, one fold per mapped pair
-    assert res.mean_scores == [np.mean(f1s[:2]), np.mean(f1s[2:])]
-    assert res.mean_scores[0] == res.mean_scores[1]
-    assert res.best_score == res.mean_scores[res.best_index]
-    assert all(0.0 <= f <= 1.0 for f in f1s)
+    runs, _ = _record_folds(monkeypatch)
+    with pytest.raises(ValueError, match="^kmf reads no config; there is nothing to tune$"):
+        tune_hyperparams(ds_a, ds_b, grid, method="kmf")
+    assert runs == []  # rejected before any fold runs
 
 
 def test_tune_half_split_and_kang(monkeypatch):
@@ -200,18 +196,18 @@ def test_tune_half_split_and_kang(monkeypatch):
 def test_tune_validation():
     ds_a, ds_b = correlated_pair(300, 5, 2, seed=7)
     with pytest.raises(ValueError, match="empty grid"):
-        tune_hyperparams(ds_a, ds_b, [], method="kmf")
+        tune_hyperparams(ds_a, ds_b, [], method="kang")
     one_a, one_b = correlated_pair(300, 5, 1, seed=7)
     with pytest.raises(ValueError, match="at least 2"):
-        tune_hyperparams(one_a, one_b, [ChimericConfig()], method="kmf")
+        tune_hyperparams(one_a, one_b, [KangConfig()], method="kang")
     with pytest.raises(ValueError, match="protocol"):
-        tune_hyperparams(ds_a, ds_b, [ChimericConfig()], protocol="thirds",
-                         method="kmf")
+        tune_hyperparams(ds_a, ds_b, [KangConfig()], protocol="thirds",
+                         method="kang")
     # no fold would leave the mean score NaN
     for folds in (0, -1):
         with pytest.raises(ValueError, match="folds"):
-            tune_hyperparams(ds_a, ds_b, [ChimericConfig()], protocol="half_split",
-                             folds=folds, method="kmf")
+            tune_hyperparams(ds_a, ds_b, [KangConfig()], protocol="half_split",
+                             folds=folds, method="kang")
 
 
 # ---------------------------------------------------------------- methods

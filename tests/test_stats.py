@@ -430,7 +430,8 @@ def _sim(values):
     values = np.asarray(values, dtype=np.float64)
     rows = [f"r{i}" for i in range(values.shape[0])]
     cols = [f"c{j}" for j in range(values.shape[1])]
-    return SimilarityMatrix(row_features=rows, col_features=cols, values=values)
+    return SimilarityMatrix(row_features=rows, col_features=cols, values=values,
+                            degenerate=np.zeros(values.shape, bool))
 
 
 def test_similarity_matrix_validation():
@@ -438,7 +439,10 @@ def test_similarity_matrix_validation():
         _sim(np.full((2, 2), np.nan))
     with pytest.raises(ValueError):
         SimilarityMatrix(row_features=["r0"], col_features=["c0", "c1"],
-                         values=np.ones((2, 2)))
+                         values=np.ones((2, 2)), degenerate=np.zeros((2, 2), bool))
+    with pytest.raises(ValueError, match="degenerate mask shape"):
+        SimilarityMatrix(row_features=["r0", "r1"], col_features=["c0", "c1"],
+                         values=np.ones((2, 2)), degenerate=np.zeros((2, 1), bool))
 
 
 def test_similarity_matrix_submatrix():

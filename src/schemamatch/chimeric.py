@@ -73,10 +73,14 @@ class ColumnScaler:
         return ColumnScaler(mean=mean, std=np.where(std == 0.0, 1.0, std))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / self.std
+        out = values - self.mean
+        out /= self.std
+        return out
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
+        out = values * self.std
+        out += self.mean
+        return out
 
 
 @dataclass
@@ -293,9 +297,7 @@ def translate(model: ChimericModel, values: np.ndarray, direction: str = "a_to_b
         s_in, s_out = model.scaler_b, model.scaler_a
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    lat, _ = enc.forward(s_in.transform(values), train=False)
-    out, _ = dec.forward(lat, train=False)
-    return s_out.inverse(out)
+    return s_out.inverse(dec.predict(enc.predict(s_in.transform(values))))
 
 
 def chimeric_dependence(

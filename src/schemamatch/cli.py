@@ -28,6 +28,7 @@ from .pipeline import (
     evaluate,
     run_benchmark,
     run_method,
+    tune_config_class,
     tune_hyperparams,
 )
 from .synthgen import CovarianceSpec, GeneratorSpec, build_scenario, make_covariance, sample
@@ -141,7 +142,7 @@ def _cmd_eval(args) -> int:
 def _cmd_tune(args) -> int:
     ds_a, ds_b = _load_pair(args)
     grid_raw = _load_json(args.grid)
-    cls = kang_mod.KangConfig if args.method == "kang" else chimeric_mod.ChimericConfig
+    cls = tune_config_class(args.method)
     grid = [from_dict(cls, g) for g in grid_raw]
     result = tune_hyperparams(
         ds_a, ds_b, grid, protocol=args.protocol, folds=args.folds,

@@ -20,15 +20,26 @@ PLATEAU_THRESHOLD, PLATEAU_MIN_LR = 1e-4, 1e-6  # relative improvement; lr floor
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """Apply the activation to the preactivation z in place and return z."""
     if name == "linear":
         return z
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        return np.maximum(z, 0.0, out=z)
+    if name == "sigmoid":  # 1 / (1 + exp(-z)), one step at a time
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        return np.reciprocal(z, out=z)
     raise ValueError(f"unknown activation {name!r}")
+
+
+def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, act: str) -> np.ndarray:
+    """One dense layer, act(a @ w + b), in a single new array."""
+    z = a @ w
+    z += b
+    return _activate(act, z)
 
 
 def _backprop_activation(name: str, h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -115,23 +126,35 @@ class Mlp:
     def mark_updated(self) -> None:
         self._version += 1
 
-    def forward(self, x, train: bool = False, rng=None):
-        """Run the network; returns (output, cache). Dropout needs `rng` when
-        training with a nonzero rate."""
+    def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected input of width {self.in_dim}, got {x.shape}")
+        return x
+
+    def predict(self, x) -> np.ndarray:
+        """Evaluation output, bit-identical to forward(x)[0], holding one
+        layer's activations at a time and building no cache."""
+        a = self._check_input(x)
+        for w, b, act in zip(self.weights, self.biases, self.activations):
+            a = _layer(a, w, b, act)
+        return a
+
+    def forward(self, x, train: bool = False, rng=None):
+        """Run the network; returns (output, cache). Dropout needs `rng` when
+        training with a nonzero rate."""
         layers: list[_LayerCache] = []
-        a = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            post = _activate(self.activations[i], a @ w + b)
+        a = self._check_input(x)
+        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
+            post = _layer(a, w, b, act)
             mask = None
             out = post
             if train and self.dropout_rate > 0.0 and i in self.dropout_sites:
                 if rng is None:
                     raise ValueError("training forward with dropout needs an rng")
                 keep = 1.0 - self.dropout_rate
-                mask = (rng.random(post.shape) < keep).astype(np.float64) / keep
+                mask = (rng.random(post.shape) < keep).astype(np.float64)
+                mask /= keep
                 out = post * mask
             layers.append(_LayerCache(inputs=a, post=post, mask=mask))
             a = out

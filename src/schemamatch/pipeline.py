@@ -296,6 +296,14 @@ def _hide_mapped(ds_a: Dataset, ds_b: Dataset, hide_positions) -> tuple[Dataset,
     return new_a, new_b, spec
 
 
+def tune_config_class(method: str) -> type:
+    """The config class a `tune_hyperparams` grid holds for `method`. kmf reads
+    no config, so it is rejected before any grid entry is decoded."""
+    if method == "kmf":
+        raise ValueError("kmf reads no config; there is nothing to tune")
+    return kang_mod.KangConfig if method == "kang" else chimeric_mod.ChimericConfig
+
+
 def tune_hyperparams(
     ds_a: Dataset,
     ds_b: Dataset,
@@ -307,14 +315,13 @@ def tune_hyperparams(
     seed: int = 0,
 ) -> TuneResult:
     """Score each candidate config by how well the method recovers deliberately
-    hidden mapped pairs, and pick the best mean score. kmf reads no config, so
-    it is rejected.
+    hidden mapped pairs, and pick the best mean score. Each grid entry is a
+    `tune_config_class(method)`; kmf reads no config, so it is rejected.
 
     leave_one_out: one fold per mapped position, hiding that single pair.
     half_split: `folds` random folds, each hiding half the mapped positions.
     """
-    if method == "kmf":
-        raise ValueError("kmf reads no config; there is nothing to tune")
+    tune_config_class(method)
     grid = list(grid)
     if not grid:
         raise ValueError("empty grid")

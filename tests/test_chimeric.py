@@ -272,6 +272,45 @@ def test_translate_is_scaled_encode_decode():
         translate(model, x, "sideways")
 
 
+def _reference_translate(model, values, direction):
+    """translate spelled out with the cached forward path and the scalers'
+    formulas written as single expressions."""
+    if direction == "a_to_b":
+        enc, dec, s_in, s_out = (model.encoder_a, model.decoder_b,
+                                 model.scaler_a, model.scaler_b)
+    else:
+        enc, dec, s_in, s_out = (model.encoder_b, model.decoder_a,
+                                 model.scaler_b, model.scaler_a)
+    lat, _ = enc.forward((values - s_in.mean) / s_in.std, train=False)
+    out, _ = dec.forward(lat, train=False)
+    return out * s_out.std + s_out.mean
+
+
+@pytest.mark.parametrize("cfg", [
+    ChimericConfig(latent_dim=3, hidden=(12, 6), epochs=2, seed=4),
+    ChimericConfig(latent_dim=3, hidden=(12, 6), epochs=2, seed=5, activation="relu",
+                   latent_activation="sigmoid", dropout=0.2),
+], ids=["tanh", "relu-sigmoid"])
+def test_translate_equals_cached_forward_reference(cfg):
+    ds_a, ds_b = lownoise_pair(n=300, seed=12)
+    model = train(ds_a, ds_b, cfg)
+    for direction, ds in (("a_to_b", ds_a), ("b_to_a", ds_b)):
+        for rows in (1, 64, ds.n_rows):
+            x = ds.values[:rows]
+            want = _reference_translate(model, x, direction)
+            assert np.array_equal(translate(model, x, direction), want)
+
+
+def test_translate_and_scaler_leave_input_unchanged():
+    model = _hand_model()
+    x = np.random.default_rng(10).standard_normal((9, 3))
+    before = x.copy()
+    for out in (translate(model, x, "a_to_b"), model.scaler_a.transform(x),
+                model.scaler_a.inverse(x)):
+        assert not np.shares_memory(out, x)
+        assert np.array_equal(x, before)
+
+
 def test_reconstruct_unshared_reads_target_column():
     model = _hand_model()
     rng = np.random.default_rng(8)

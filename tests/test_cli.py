@@ -208,3 +208,16 @@ def test_match_rejects_non_finite_cell(tmp_path, caplog):
     rc = main(["match", *_pair_args(d), "--out", str(tmp_path / "p.csv")])
     assert rc == 1
     assert f"line 5, column '{column}'" in caplog.text
+
+
+def test_tune_rejects_kmf_before_reading_the_grid(tmp_path, capsys, caplog):
+    """A kmf grid entry is never decoded, so a key no config has cannot hide
+    the reason kmf is rejected."""
+    d = _synth(tmp_path, seed=5)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps([{"bins": 2}]))
+    rc = main(["tune", *_pair_args(d), "--method", "kmf", "--grid", str(grid_path)])
+    assert rc == 1
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["kmf reads no config; there is nothing to tune"]

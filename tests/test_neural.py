@@ -119,9 +119,40 @@ def test_backprop_activation_equals_derivative_from_preactivation(name, z, seed)
     relu's h > 0 included (h = max(z, 0) is positive exactly when z is)."""
     g = np.random.default_rng(seed).standard_normal(z.shape)
     with np.errstate(over="ignore"):  # sigmoid's exp(-z) saturates at large negative z
-        h = _activate(name, z)
+        h = _activate(name, z.copy())
         want = g * _derivative_from_preactivation(name, z)
     assert np.array_equal(_backprop_activation(name, h, g), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    acts=st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=4),
+    widths=st.lists(st.integers(1, 12), min_size=5, max_size=5),
+    sites=st.sets(st.integers(0, 3)),
+    rows=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_equals_forward_output(acts, widths, sites, rows, seed):
+    """The cache-free evaluation path gives forward's output bit for bit, for
+    every activation, with or without dropout sites (inactive at evaluation),
+    and leaves its input alone."""
+    rng = np.random.default_rng(seed)
+    sizes = widths[:len(acts) + 1]
+    net = Mlp(sizes, acts, dropout_sites=[i for i in sites if i < len(acts)],
+              dropout_rate=0.5, rng=rng)
+    x = 3.0 * rng.standard_normal((rows, net.in_dim))
+    before = x.copy()
+    got = net.predict(x)
+    assert np.array_equal(got, net.forward(x)[0])
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(got, x)
+
+
+def test_predict_validates_input_like_forward():
+    net = Mlp([3, 5, 2], ["tanh", "linear"], rng=np.random.default_rng(63))
+    for bad in (np.zeros((7, 4)), np.zeros(3), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError, match="width 3"):
+            net.predict(bad)
 
 
 def test_forward_shapes_and_validation():

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import Dataset, from_dict
 from .neural import ACTIVATIONS, Adam, Mlp, PlateauScheduler, load_mlp_arrays, mlp_arrays
-from .stats import SimilarityMatrix, discretize, mutual_information_codes, pearson_matrix
+from .stats import SimilarityMatrix, discretize, mutual_information_pairs, pearson_matrix
 
 MEASURES = ("pearson", "mutual_information")
 LOSS_KEYS = ("ae_a", "ae_b", "ce_a", "ce_b", "cy_a", "cy_b", "orth", "total")
@@ -208,6 +208,22 @@ def _side_pass(
     return ae, ce, cy, orth, total
 
 
+def _loss_and_gradient(nets, xa: np.ndarray, xb: np.ndarray, k: int, w_a: np.ndarray,
+                       w_b: np.ndarray, cfg: ChimericConfig, rng):
+    """The objective of one training step on a mini-batch from each database:
+    both directions' losses in LOSS_KEYS order, the last being the total, and
+    the total's gradient with respect to every parameter of nets = (enc_a,
+    dec_a, enc_b, dec_b), one array per parameter in that order."""
+    enc_a, dec_a, enc_b, dec_b = nets
+    grads: dict[Mlp, list[np.ndarray]] = {}
+    ae_a, ce_a, cy_a, orth_a, total_a = _side_pass(
+        enc_a, dec_a, enc_b, dec_b, xa, k, w_a, cfg, rng, grads)
+    ae_b, ce_b, cy_b, orth_b, total_b = _side_pass(
+        enc_b, dec_b, enc_a, dec_a, xb, k, w_b, cfg, rng, grads)
+    losses = np.array([ae_a, ae_b, ce_a, ce_b, cy_a, cy_b, orth_a + orth_b, total_a + total_b])
+    return losses, [g for net in nets for g in grads[net]]
+
+
 def train(ds_a: Dataset, ds_b: Dataset, cfg: ChimericConfig | None = None) -> ChimericModel:
     """Train the paired autoencoders on two preprocessed databases whose first K
     columns are the known-mapped block (same pairing order on both sides).
@@ -251,20 +267,13 @@ def train(ds_a: Dataset, ds_b: Dataset, cfg: ChimericConfig | None = None) -> Ch
         for step in range(steps):
             ia = rng.choice(n_a, size=min(cfg.batch_size, n_a), replace=False)
             ib = rng.choice(n_b, size=min(cfg.batch_size, n_b), replace=False)
-            xa = xa_all[ia]
-            xb = xb_all[ib]
-            grads: dict[Mlp, list[np.ndarray]] = {}
-            ae_a, ce_a, cy_a, orth_a, total_a = _side_pass(
-                enc_a, dec_a, enc_b, dec_b, xa, k, w_a, cfg, rng, grads)
-            ae_b, ce_b, cy_b, orth_b, total_b = _side_pass(
-                enc_b, dec_b, enc_a, dec_a, xb, k, w_b, cfg, rng, grads)
-            losses = np.array([ae_a, ae_b, ce_a, ce_b, cy_a, cy_b,
-                               orth_a + orth_b, total_a + total_b])
+            losses, grad = _loss_and_gradient(nets, xa_all[ia], xb_all[ib], k, w_a, w_b,
+                                              cfg, rng)
             if not math.isfinite(losses[-1]):
                 terms = ", ".join(f"{key}={v}" for key, v in zip(LOSS_KEYS, losses))
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch} step {step}: {terms}")
-            opt.step([g for net in nets for g in grads[net]])
+            opt.step(grad)
             for net in nets:
                 net.mark_updated()
             sums += losses
@@ -318,13 +327,11 @@ def chimeric_dependence(
     if measure == "pearson":
         values, degen = pearson_matrix(ds.values, z)
     elif measure == "mutual_information":
-        codes_x = [discretize(col, 8) for col in ds.values.T]
-        codes_z = [discretize(col, 8) for col in z.T]
-        values = np.zeros((len(codes_x), len(codes_z)))
+        codes = [discretize(col, 8) for col in ds.values.T] + [discretize(col, 8) for col in z.T]
+        p, q = ds.n_features, z.shape[1]
+        pairs = [(i, p + j) for i in range(p) for j in range(q)]
+        values = mutual_information_pairs(codes, pairs).reshape(p, q)
         degen = np.zeros(values.shape, dtype=bool)
-        for i, cx in enumerate(codes_x):
-            for j, cz in enumerate(codes_z):
-                values[i, j] = mutual_information_codes(cx, cz)
         flat = values.std(axis=1) == 0
         degen[flat, :] = True
     else:

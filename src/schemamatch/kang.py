@@ -9,7 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import discretize, entropy_codes, mutual_information_codes
+from .stats import discretize, entropy_codes, mutual_information_pairs
+
+SCREEN_BLOCK = 64  # swap proposals scored per vectorized pass of the screen
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,10 @@ def _mi_fill(out: np.ndarray, codes: list, start: int) -> None:
     index first, mirrored) into every row and column of `out` from `start` on."""
     for j in range(start, len(codes)):
         out[j, j] = entropy_codes(codes[j])
-        for i in range(j):
-            out[i, j] = out[j, i] = mutual_information_codes(codes[i], codes[j])
+    pairs = [(i, j) for j in range(start, len(codes)) for i in range(j)]
+    if pairs:
+        rows, cols = np.array(pairs).T
+        out[rows, cols] = out[cols, rows] = mutual_information_pairs(codes, pairs)
 
 
 def mi_matrix(values: np.ndarray, bins: int = 8) -> np.ndarray:
@@ -124,6 +129,35 @@ def _swap_gain(mi_a: np.ndarray, bp: np.ndarray, i: int, j: int,
     return float(terms.sum())
 
 
+def _screen(mi_a: np.ndarray, bp: np.ndarray, pos_i: np.ndarray, pos_j: np.ndarray,
+            cfg: KangConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Score a block of proposals (pos_i[t], pos_j[t]) against one bp at once.
+
+    Returns each gain as `_swap_gain` computes it but summed in another order,
+    and a margin of four times a bound on its distance from `_swap_gain`'s
+    float result. The two sums add the same float terms, so each is within
+    gamma_n * M of the exact sum (Higham 2002, section 3.1), where M sums the
+    magnitudes added: at most 4 * sum_k |da_k db_k| for a Euclidean gain (-2
+    times the full dot less two of its terms), and all four exps of every
+    normal-metric term. n = p + 16 also covers exps a few ulps apart.
+    """
+    rows = np.arange(len(pos_i))
+    a_i, a_j, b_i, b_j = mi_a[pos_i], mi_a[pos_j], bp[pos_i], bp[pos_j]
+    if cfg.metric == "euclidean":
+        terms = (a_i - a_j) * (b_i - b_j)
+        magnitude = 4.0 * np.abs(terms).sum(axis=1)
+        scale = -2.0
+    else:
+        e = np.exp(-np.square([a_i - b_j, a_j - b_i, a_i - b_i, a_j - b_j]) / cfg.alpha)
+        magnitude = e.sum(axis=(0, 2))
+        terms = e[0] + e[1] - e[2] - e[3]
+        scale = 1.0
+    terms[rows, pos_i] = terms[rows, pos_j] = 0.0
+    n = mi_a.shape[0] + 16
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return scale * terms.sum(axis=1), 4.0 * 2.0 * gamma * magnitude
+
+
 def kang_match(
     mi_a: np.ndarray,
     mi_b: np.ndarray,
@@ -141,10 +175,13 @@ def kang_match(
     once: ordered pairs of distinct free positions, uniform over the m(m - 1)
     choices. A proposal is scored by `_swap_gain` in O(p) from rows of a cached
     mi_b[np.ix_(pi, pi)] and kept only if it raises the objective by more than
-    1e-15; the best restart wins. With fewer than two free positions nothing is
-    drawn. Both matrices must be symmetric (`mi_matrix` output is), since the
-    gain and the objective read one triangle. With unequal sizes the smaller
-    side is padded with knock-offs, which requires that side's data.
+    1e-15; the best restart wins. `_screen` scores SCREEN_BLOCK proposals at a
+    time, and only those its error margin cannot rule out go through
+    `_swap_gain`, in order, so the accepted swaps are those of a plain loop.
+    With fewer than two free positions nothing is drawn. Both matrices must be
+    symmetric (`mi_matrix` output is), since the gain and the objective read
+    one triangle. With unequal sizes the smaller side is padded with
+    knock-offs, which requires that side's data.
     """
     cfg = cfg or KangConfig()
     mi_a = np.asarray(mi_a, dtype=np.float64)
@@ -190,13 +227,25 @@ def kang_match(
             second = rng.integers(0, m - 1, size=cfg.iterations)
             second += second >= first  # skip `first`: distinct and uniform
             bp = mi_b[np.ix_(pi, pi)]
-            for i, j in zip(free_pos[first].tolist(), free_pos[second].tolist()):
-                gain = _swap_gain(mi_a, bp, i, j, cfg)
-                if gain > 1e-15:
-                    obj += gain
-                    pi[i], pi[j] = pi[j], pi[i]
-                    bp[[i, j]] = bp[[j, i]]
-                    bp[:, [i, j]] = bp[:, [j, i]]
+            pos_i, pos_j = free_pos[first], free_pos[second]
+            start = 0
+            while start < cfg.iterations:
+                stop = start + SCREEN_BLOCK
+                value, margin = _screen(mi_a, bp, pos_i[start:stop], pos_j[start:stop], cfg)
+                # at or below 1e-15 - margin a proposal cannot pass _swap_gain's
+                # test; _swap_gain decides every other one, NaN included
+                survivors = start + np.flatnonzero(~(value <= 1e-15 - margin))
+                start = stop
+                for t in survivors.tolist():
+                    i, j = int(pos_i[t]), int(pos_j[t])
+                    gain = _swap_gain(mi_a, bp, i, j, cfg)
+                    if gain > 1e-15:
+                        obj += gain
+                        pi[i], pi[j] = pi[j], pi[i]
+                        bp[[i, j]] = bp[[j, i]]
+                        bp[:, [i, j]] = bp[:, [j, i]]
+                        start = t + 1  # bp changed: score again from the next proposal
+                        break
         if obj > best_obj:
             best_obj = obj
             best_pi = pi

@@ -96,35 +96,52 @@ def by_stepdown(pvalues, q: float = 0.05) -> np.ndarray:
 
 def discretize(x: np.ndarray, bins: int) -> np.ndarray:
     """Integer codes for MI: binary columns keep their natural levels, continuous
-    columns get quantile bins (tied quantiles collapse)."""
+    columns get quantile bins (tied quantiles collapse). Codes run 0..L-1 over
+    the levels present, as intp."""
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    uniq = np.unique(x)
-    if uniq.size <= 2:
-        codes = np.searchsorted(uniq, x)
-    else:
-        qs = np.quantile(x, np.linspace(0.0, 1.0, bins + 1)[1:-1])
-        edges = np.unique(qs)
-        codes = np.searchsorted(edges, x, side="left")
-    _, codes = np.unique(codes, return_inverse=True)
-    return codes
+    s = np.sort(x)  # one sort: the levels test and the quantiles both read it
+    if np.count_nonzero(s[1:] != s[:-1]) <= 1:  # two levels or fewer
+        return (x > s[0]).astype(np.intp)
+    edges = np.unique(np.quantile(s, np.linspace(0.0, 1.0, bins + 1)[1:-1]))
+    codes = np.searchsorted(edges, x, side="left")
+    # relabel the bins present to 0..L-1 without a second sort
+    present = np.bincount(codes, minlength=edges.size + 1) > 0
+    return (np.cumsum(present, dtype=np.intp) - 1)[codes]
+
+
+def mutual_information_pairs(codes, pairs) -> np.ndarray:
+    """`mutual_information_codes(codes[i], codes[j])` for every (i, j) in
+    pairs, bit for bit, from equal-length code vectors from discretize.
+
+    Each pair's joint counts take one bincount. The float steps then run on
+    all pairs of one (levels_i, levels_j) shape at once; they are elementwise
+    or reduce short rows, so each pair gets the bits it gets alone. Only the
+    final sum stays per pair: its order over the nonzero cells fixes the bits.
+    """
+    levels = [int(c.max()) + 1 for c in codes]
+    out = np.zeros(len(pairs))
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for t, (i, j) in enumerate(pairs):
+        if levels[i] >= 2 and levels[j] >= 2:  # a constant column carries no information
+            shapes.setdefault((levels[i], levels[j]), []).append(t)
+    for (kx, ky), members in shapes.items():
+        counts = np.stack([np.bincount(codes[pairs[t][0]] * ky + codes[pairs[t][1]],
+                                       minlength=kx * ky) for t in members])
+        joint = counts.reshape(-1, kx, ky).astype(np.float64) / codes[0].size
+        outer = joint.sum(axis=2)[:, :, None] * joint.sum(axis=1)[:, None, :]
+        nz = joint > 0
+        terms = joint[nz] * np.log(joint[nz] / outer[nz])
+        ends = np.cumsum(np.count_nonzero(nz.reshape(len(members), -1), axis=1))
+        for t, part in zip(members, np.split(terms, ends[:-1])):
+            out[t] = max(0.0, float(np.sum(part)))
+    return out
 
 
 def mutual_information_codes(cx: np.ndarray, cy: np.ndarray) -> float:
     """Plug-in mutual information (natural log) of two equal-length code
     vectors from discretize."""
-    kx = int(cx.max()) + 1
-    ky = int(cy.max()) + 1
-    if kx < 2 or ky < 2:
-        return 0.0  # constant column carries no information
-    joint = np.bincount(cx * ky + cy, minlength=kx * ky).astype(np.float64)
-    joint = joint.reshape(kx, ky) / cx.size
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    nz = joint > 0
-    outer = np.outer(px, py)
-    mi = float(np.sum(joint[nz] * np.log(joint[nz] / outer[nz])))
-    return max(0.0, mi)
+    return float(mutual_information_pairs([cx, cy], [(0, 1)])[0])
 
 
 def entropy_codes(codes: np.ndarray) -> float:

@@ -9,6 +9,8 @@ from schemamatch.chimeric import (
     ChimericModel,
     ColumnScaler,
     TrainingDiverged,
+    _build_networks,
+    _loss_and_gradient,
     _orth_loss,
     chimeric_dependence,
     cross_loss,
@@ -139,6 +141,77 @@ def test_orth_loss_zero_at_orthonormal_latent():
     loss, grad = _orth_loss(q * np.sqrt(6))
     assert loss < 1e-12
     assert np.all(grad == 0.0)
+
+
+# ---------------------------------------------------------------- whole step
+
+_STEP_WEIGHTS = dict(w_cross=0.7, w_cycle=1.3, w_orth=0.05)  # away from 0 and 1
+_ACTS = {"linear": lambda z: z, "tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0),
+         "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z))}
+
+
+def _relu_kink_distance(nets, xa, xb):
+    """The smallest |preactivation| of any relu layer in both side passes of a
+    step (dropout 0), running the networks as _side_pass does."""
+    enc_a, dec_a, enc_b, dec_b = nets
+    closest = np.inf
+
+    def run(net, x):
+        nonlocal closest
+        for w, b, act in zip(net.weights, net.biases, net.activations):
+            z = x @ w + b
+            if act == "relu":
+                closest = min(closest, float(np.abs(z).min()))
+            x = _ACTS[act](z)
+        return x
+
+    for f_src, g_src, f_dst, g_dst, x in ((enc_a, dec_a, enc_b, dec_b, xa),
+                                           (enc_b, dec_b, enc_a, dec_a, xb)):
+        lat = run(f_src, x)
+        run(g_src, lat)
+        run(g_src, run(f_dst, run(g_dst, lat)))
+    return closest
+
+
+@pytest.mark.parametrize("acts", [("tanh", "linear", "linear"), ("sigmoid", "tanh", "sigmoid"),
+                                  ("relu", "linear", "linear")], ids="-".join)
+def test_step_gradient_matches_central_differences(acts):
+    # the total loss of one training step: both side passes, all four networks
+    rng = np.random.default_rng(40)
+    cfg = ChimericConfig(latent_dim=3, hidden=(7, 5), dropout=0.0, activation=acts[0],
+                         latent_activation=acts[1], output_activation=acts[2], **_STEP_WEIGHTS)
+    nets = _build_networks(6, 5, cfg)
+    for net in nets:  # nonzero biases, as after some training
+        for b in net.biases:
+            b[...] = 0.1 * rng.standard_normal(b.shape)
+    w_a, w_b = rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 3)
+    for _ in range(100):  # relu only away from its kink
+        xa, xb = rng.standard_normal((12, 6)), rng.standard_normal((12, 5))
+        if _relu_kink_distance(nets, xa, xb) > 1e-3:
+            break
+    else:
+        pytest.fail("no batch keeps every relu preactivation away from 0")
+
+    def step():
+        return _loss_and_gradient(nets, xa, xb, 3, w_a, w_b, cfg, np.random.default_rng(0))
+
+    _, grads = step()
+    params = [p for net in nets for p in net.parameters()]
+    assert [g.shape for g in grads] == [p.shape for p in params]
+    h = 1e-6
+    worst = 0.0
+    for p, g in zip(params, grads):
+        flat, gflat = p.reshape(-1), g.reshape(-1)
+        for j in rng.choice(flat.size, size=min(6, flat.size), replace=False):
+            orig = flat[j]
+            flat[j] = orig + h
+            up = step()[0][-1]
+            flat[j] = orig - h
+            down = step()[0][-1]
+            flat[j] = orig
+            num = (up - down) / (2.0 * h)
+            worst = max(worst, abs(num - gflat[j]) / max(abs(num), abs(gflat[j]), 1e-8))
+    assert worst < 1e-4, f"max relative gradient error {worst:.2e}"
 
 
 # ---------------------------------------------------------------- model shell

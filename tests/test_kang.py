@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from schemamatch import kang
 from schemamatch.kang import KangConfig, _knockoff_pad, kang_match, mi_matrix
 from schemamatch.stats import entropy, mutual_information
+from helpers import reference_mi_matrix
 
 
 def _factor_data(n, p, seed, noise=0.2):
@@ -47,6 +48,15 @@ def test_mi_matrix_entries():
         assert m[i, i] == entropy(x[:, i], bins=6)
         for j in range(i + 1, 6):
             assert m[i, j] == mutual_information(x[:, i], x[:, j], bins=6)
+
+
+def test_mi_matrix_equals_reference():
+    rng = np.random.default_rng(23)
+    x = _factor_data(700, 5, seed=23)
+    x = np.column_stack([x, x[:, 0] > 0.3, np.full(700, -1.5), np.round(x[:, 1]),
+                         rng.choice([-3.0, 7.0], 700), rng.choice([0.0, -0.0, 2.0], 700)])
+    for bins in (2, 3, 8, 12):
+        assert np.array_equal(mi_matrix(x, bins=bins), reference_mi_matrix(x, bins))
 
 
 def test_mi_matrix_needs_2d():
@@ -246,11 +256,106 @@ def test_knockoff_pad_reuses_real_block(side, monkeypatch):
     expected = mi_matrix(np.hstack([values, extra]))
 
     calls = []
-    original = kang.mutual_information_codes
-    monkeypatch.setattr(kang, "mutual_information_codes",
-                        lambda cx, cy: calls.append(1) or original(cx, cy))
+    original = kang.mutual_information_pairs
+    monkeypatch.setattr(kang, "mutual_information_pairs",
+                        lambda codes, pairs: calls.extend(pairs) or original(codes, pairs))
     padded = _knockoff_pad(side, mi, values, 8, np.random.default_rng(21), bins=8)
     assert np.array_equal(padded, expected)
     # only pairs with a knock-off: 28 pairs in all, less the 15 real ones
     assert len(calls) == 28 - 15
 
+
+
+# ---------------------------------------------------------------- screened search
+
+def _plain_kang_match(mi_a, mi_b, known_pairs, cfg, data_a=None, data_b=None):
+    """kang_match with the plain swap loop: every proposal through _swap_gain."""
+    mi_a = np.asarray(mi_a, dtype=np.float64)
+    mi_b = np.asarray(mi_b, dtype=np.float64)
+    n_real_a, n_real_b = mi_a.shape[0], mi_b.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    p = max(n_real_a, n_real_b)
+    mi_a = _knockoff_pad("a", mi_a, data_a, p, rng, cfg.bins)
+    mi_b = _knockoff_pad("b", mi_b, data_b, p, rng, cfg.bins)
+    base = -np.ones(p, dtype=np.int64)
+    for ia, ib in known_pairs:
+        base[ia] = ib
+    free_pos = np.array([i for i in range(p) if base[i] < 0], dtype=np.int64)
+    free_cols = np.array(sorted(set(range(p)) - {int(b) for _, b in known_pairs}), dtype=np.int64)
+    m = len(free_pos)
+    best_pi, best_obj = None, -np.inf
+    for _ in range(max(1, cfg.iterations // 500)):
+        pi = base.copy()
+        pi[free_pos] = free_cols[rng.permutation(m)]
+        obj = kang._objective(mi_a, mi_b, pi, cfg)
+        if m >= 2:
+            first = rng.integers(0, m, size=cfg.iterations)
+            second = rng.integers(0, m - 1, size=cfg.iterations)
+            second += second >= first
+            bp = mi_b[np.ix_(pi, pi)]
+            for i, j in zip(free_pos[first].tolist(), free_pos[second].tolist()):
+                gain = kang._swap_gain(mi_a, bp, i, j, cfg)
+                if gain > 1e-15:
+                    obj += gain
+                    pi[i], pi[j] = pi[j], pi[i]
+                    bp[[i, j]] = bp[[j, i]]
+                    bp[:, [i, j]] = bp[:, [j, i]]
+        if obj > best_obj:
+            best_obj, best_pi = obj, pi
+    return best_pi, kang._pair_matrix(mi_a, mi_b, best_pi, cfg).sum(axis=1)
+
+
+def _duplicated_rows(m, copies=2):
+    """A symmetric matrix whose rows and columns repeat, so that many swaps
+    exchange equal rows and gain exactly 0."""
+    return np.repeat(np.repeat(m, copies, axis=0), copies, axis=1)
+
+
+def _screen_cases():
+    big_a = mi_matrix(_factor_data(800, 14, seed=30))
+    perm = np.random.default_rng(31).permutation(14)
+    big_b = mi_matrix(_factor_data(800, 14, seed=30)[:, perm])
+    known = [(int(perm[q]), q) for q in range(3)]
+    x_a, x_b = _factor_data(500, 7, seed=32), _factor_data(500, 5, seed=33)
+    dup = _duplicated_rows(_random_symmetric(5, seed=34))
+    for metric in ("euclidean", "normal"):
+        cfg = KangConfig(metric=metric, alpha=0.7, iterations=1500)
+        yield big_a, big_b, known, cfg, {}
+        yield big_a, big_b, [], replace(cfg, seed=1), {}
+        yield big_a, big_b, [(int(perm[q]), q) for q in range(12)], cfg, {}  # m = 2
+        yield mi_matrix(x_a), mi_matrix(x_b), [(0, 0)], cfg, {"data_b": x_b}
+        yield mi_matrix(x_b), mi_matrix(x_a), [(1, 2)], cfg, {"data_a": x_b}
+        yield dup, dup, [], cfg, {}
+        yield dup, dup[::-1, ::-1].copy(), [(0, 9)], replace(cfg, seed=2), {}
+
+
+def test_kang_match_equals_plain_loop():
+    for mi_a, mi_b, known, cfg, data in _screen_cases():
+        res = kang_match(mi_a, mi_b, known, cfg, **data)
+        pi, scores = _plain_kang_match(mi_a, mi_b, known, cfg, **data)
+        assert np.array_equal(res.assignment, pi)
+        assert np.array_equal(res.pair_scores, scores)
+
+
+def test_screen_margin_bounds_swap_gain():
+    # every proposal's screened value is within a quarter of its margin of
+    # _swap_gain's float result, on 100,000 proposals per metric
+    rng = np.random.default_rng(35)
+    for metric in ("euclidean", "normal"):
+        checked = 0
+        while checked < 100_000:
+            p = int(rng.integers(2, 41))
+            mi_a = _random_symmetric(p, seed=rng.integers(2**32)) * rng.uniform(0.01, 3.0)
+            mi_b = _random_symmetric(p, seed=rng.integers(2**32)) * rng.uniform(0.01, 3.0)
+            if rng.random() < 0.25:
+                q = (p + 1) // 2
+                mi_a = _duplicated_rows(mi_a[:q, :q])[:p, :p]
+                mi_b = _duplicated_rows(mi_b[:q, :q])[:p, :p]
+            cfg = KangConfig(metric=metric, alpha=float(rng.uniform(0.1, 3.0)))
+            bp = mi_b[np.ix_(*[rng.permutation(p)] * 2)]
+            pos_i = rng.integers(0, p, size=kang.SCREEN_BLOCK)
+            pos_j = (pos_i + rng.integers(1, p, size=kang.SCREEN_BLOCK)) % p
+            value, margin = kang._screen(mi_a, bp, pos_i, pos_j, cfg)
+            gains = [kang._swap_gain(mi_a, bp, i, j, cfg) for i, j in zip(pos_i, pos_j)]
+            assert np.all(np.abs(value - gains) <= margin / 4)
+            checked += kang.SCREEN_BLOCK

@@ -10,8 +10,8 @@ import pytest
 
 from schemamatch import pipeline
 from schemamatch.chimeric import ChimericConfig, translate
-from schemamatch.core import ScenarioSpec, from_dict
-from schemamatch.kang import KangConfig
+from schemamatch.core import BINARY, ScenarioSpec, from_dict
+from schemamatch.kang import KangConfig, mi_matrix
 from schemamatch.kmf import PromotionPolicy, promote_matches
 from schemamatch.matcher import MatchProposal
 from schemamatch.pipeline import (
@@ -32,7 +32,7 @@ from schemamatch.pipeline import (
 )
 from schemamatch.stats import pearson
 from schemamatch.synthgen import GeneratorSpec, build_scenario, sample
-from helpers import correlated_pair
+from helpers import correlated_pair, make_dataset, reference_mi_matrix
 
 
 # ---------------------------------------------------------------- split
@@ -279,6 +279,30 @@ def test_run_method_at_extreme_mapped_counts(method, k):
         assert p.feature_b in ds_b.unmapped_names
     if method == "chimeric":
         assert res.model is not None
+
+
+def _degenerate_pair(kind):
+    """An all-binary pair, or a pair whose A side has one constant column."""
+    ds_a, ds_b = correlated_pair(300, 10, 3, seed=5)
+    if kind == "binary":
+        return tuple(make_dataset((ds.values > 0).astype(np.float64), 3, names=ds.feature_names,
+                                  kinds=[BINARY] * 10, name=ds.name) for ds in (ds_a, ds_b))
+    values = ds_a.values.copy()
+    values[:, 6] = 2.5
+    return make_dataset(values, 3, names=ds_a.feature_names, name="A"), ds_b
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+@pytest.mark.parametrize("kind", ["binary", "constant"])
+def test_run_method_on_degenerate_tables(method, kind):
+    ds_a, ds_b = _degenerate_pair(kind)
+    res = run_method(method, ds_a, ds_b, **_SMALL_CFGS)
+    assert len(res.proposals) == 7
+    for p in res.proposals:
+        assert p.feature_a in ds_a.unmapped_names
+        assert p.feature_b in ds_b.unmapped_names
+    for ds in (ds_a, ds_b):
+        assert np.array_equal(mi_matrix(ds.values), reference_mi_matrix(ds.values))
 
 
 @pytest.mark.parametrize("method", pipeline.METHODS)

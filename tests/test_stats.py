@@ -13,13 +13,18 @@ from hypothesis import strategies as st_
 from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
+from helpers import reference_discretize, reference_mi_codes
+
 from schemamatch.stats import (
     SimilarityMatrix,
     by_stepdown,
     cosine,
     cosine_matrix,
+    discretize,
     entropy,
     mutual_information,
+    mutual_information_codes,
+    mutual_information_pairs,
     pearson,
     pearson_matrix,
     pearson_pvalue,
@@ -280,6 +285,66 @@ def test_mutual_information_validation():
         mutual_information(np.ones(5), np.ones(4))
     with pytest.raises(ValueError):
         mutual_information(np.ones(5), np.ones(5), bins=1)
+
+
+# ---------------------------------------------------------------- MI kernels
+
+_COLUMN_KINDS = ("continuous", "rounded", "two_level", "constant", "signed_zero", "few_levels")
+
+
+def _column(kind, n, rng):
+    """One column of a kind discretize treats differently."""
+    if kind == "continuous":
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    if kind == "rounded":  # many ties, some of them on a quantile
+        return np.round(rng.standard_normal(n), int(rng.integers(0, 2)))
+    if kind == "two_level":  # levels other than 0 and 1
+        lo, hi = np.sort(rng.choice([-3.0, 7.0, 0.5, -1e-3, 2.0], size=2, replace=False))
+        return np.where(rng.random(n) < rng.uniform(0.02, 0.98), lo, hi)
+    if kind == "constant":
+        return np.full(n, rng.standard_normal())
+    if kind == "signed_zero":  # -0.0 and 0.0 are one level
+        return rng.choice([0.0, -0.0, 1.0, -2.0][: int(rng.integers(2, 5))], size=n)
+    return rng.integers(0, int(rng.integers(3, 6)), size=n) * rng.uniform(0.1, 5.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st_.sampled_from(_COLUMN_KINDS), n=st_.integers(1, 3000),
+       bins=st_.integers(2, 12), seed=st_.integers(0, 2**32 - 1))
+def test_discretize_equals_reference(kind, n, bins, seed):
+    x = _column(kind, n, np.random.default_rng(seed))
+    got, want = discretize(x, bins), reference_discretize(x, bins)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=hnp.arrays(np.float64, st_.integers(1, 40),
+                    elements=st_.sampled_from([0.0, -0.0, 1.0, -3.0, 7.0, 0.1, 1e300, -1e-300])),
+       bins=st_.integers(2, 12))
+def test_discretize_equals_reference_on_edge_values(x, bins):
+    got, want = discretize(x, bins), reference_discretize(x, bins)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bins=st_.integers(2, 12), n=st_.integers(1, 800), width=st_.integers(1, 6),
+       seed=st_.integers(0, 2**32 - 1))
+def test_mutual_information_pairs_equals_reference(bins, n, width, seed):
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, bins, size=n)
+    codes = []
+    for _ in range(width):
+        # 1 to `bins` levels, skewed, and tied to `base` so joints have empty cells
+        levels = int(rng.integers(1, bins + 1))
+        raw = (base + rng.integers(0, 1 + int(rng.integers(0, 3)), size=n)) % levels
+        codes.append(np.unique(raw, return_inverse=True)[1])
+    pairs = [(i, j) for i in range(width) for j in range(width)]
+    got = mutual_information_pairs(codes, pairs)
+    want = [reference_mi_codes(codes[i], codes[j]) for i, j in pairs]
+    assert [float(v).hex() for v in got] == [v.hex() for v in want]
+    assert mutual_information_codes(codes[0], codes[-1]).hex() == want[width - 1].hex()
 
 
 def test_entropy_hand_values():

@@ -17,6 +17,7 @@ from .neural import ACTIVATIONS, Adam, Mlp, PlateauScheduler, load_mlp_arrays, m
 from .stats import SimilarityMatrix, discretize, mutual_information_pairs, pearson_matrix
 
 MEASURES = ("pearson", "mutual_information")
+TRANSLATION_DIRECTIONS = ("a_to_b", "b_to_a")
 LOSS_KEYS = ("ae_a", "ae_b", "ce_a", "ce_b", "cy_a", "cy_b", "orth", "total")
 
 
@@ -297,15 +298,15 @@ def translate(model: ChimericModel, values: np.ndarray, direction: str = "a_to_b
     """Deterministic (no-dropout) translation of rows from one database's
     feature space into the other's: decode_other(encode_own(x)), returned in
     the target database's data units."""
+    if direction not in TRANSLATION_DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
     values = np.asarray(values, dtype=np.float64)
     if direction == "a_to_b":
         enc, dec = model.encoder_a, model.decoder_b
         s_in, s_out = model.scaler_a, model.scaler_b
-    elif direction == "b_to_a":
+    else:
         enc, dec = model.encoder_b, model.decoder_a
         s_in, s_out = model.scaler_b, model.scaler_a
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
     return s_out.inverse(dec.predict(enc.predict(s_in.transform(values))))
 
 
@@ -344,10 +345,10 @@ def reconstruct_unshared(
 ) -> np.ndarray:
     """Surrogate values for a feature that exists only in the other database:
     translate ds's rows and read off the target column."""
+    z = translate(model, ds.values, direction)  # rejects an unknown direction
     targets = model.features_b if direction == "a_to_b" else model.features_a
     if feature not in targets:
         raise ValueError(f"{feature!r} is not a feature of the target database")
-    z = translate(model, ds.values, direction)
     return z[:, list(targets).index(feature)]
 
 

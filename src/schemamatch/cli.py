@@ -14,6 +14,7 @@ import numpy as np
 from . import chimeric as chimeric_mod
 from . import kang as kang_mod
 from .core import (
+    MAP_KINDS,
     ScenarioSpec,
     from_dict,
     load_dataset,
@@ -23,6 +24,8 @@ from .core import (
 )
 from .matcher import proposals_from_csv, proposals_to_csv
 from .pipeline import (
+    METHODS,
+    PROTOCOLS,
     ExperimentConfig,
     MatchSettings,
     evaluate,
@@ -31,7 +34,8 @@ from .pipeline import (
     tune_config_class,
     tune_hyperparams,
 )
-from .synthgen import CovarianceSpec, GeneratorSpec, build_scenario, make_covariance, sample
+from .synthgen import (FAMILIES, CovarianceSpec, GeneratorSpec, build_scenario,
+                       make_covariance, sample)
 
 log = logging.getLogger("schemamatch")
 
@@ -143,6 +147,9 @@ def _cmd_tune(args) -> int:
     ds_a, ds_b = _load_pair(args)
     grid_raw = _load_json(args.grid)
     cls = tune_config_class(args.method)
+    if not isinstance(grid_raw, list):
+        raise ValueError(f"{args.grid}: the grid must be a JSON list of configs, "
+                         f"got {type(grid_raw).__name__}")
     grid = [from_dict(cls, g) for g in grid_raw]
     result = tune_hyperparams(
         ds_a, ds_b, grid, protocol=args.protocol, folds=args.folds,
@@ -181,14 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic two-database scenario")
-    p.add_argument("--family", default="gaussian",
-                   choices=["gaussian", "two_cluster_gaussian",
-                            "binarized_two_cluster", "independent_gaussian"])
+    p.add_argument("--family", default="gaussian", choices=FAMILIES)
     p.add_argument("--dim", type=int, default=20)
     p.add_argument("--factor-dim", type=int, default=10)
     p.add_argument("--n-samples", type=int, default=10000)
-    p.add_argument("--map-kind", default="permutation",
-                   choices=["permutation", "onto", "partial"])
+    p.add_argument("--map-kind", default="permutation", choices=MAP_KINDS)
     p.add_argument("--k-mapped", type=int, default=4)
     p.add_argument("--drop-a", type=int, default=0)
     p.add_argument("--drop-b", type=int, default=0)
@@ -209,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("match", help="propose feature matches between two databases")
     add_pair_args(p)
-    p.add_argument("--method", default="kmf",
-                   choices=["kmf", "chimeric", "kmf_then_chimeric", "kang"])
+    p.add_argument("--method", default="kmf", choices=METHODS)
     p.add_argument("--config", help="JSON config for the chosen method")
     p.add_argument("--fdr-q", type=float, default=0.05)
     p.add_argument("--out", required=True)
@@ -218,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="translate rows into the partner schema")
     add_pair_args(p)
-    p.add_argument("--direction", default="a_to_b", choices=["a_to_b", "b_to_a"])
+    p.add_argument("--direction", default="a_to_b",
+                   choices=chimeric_mod.TRANSLATION_DIRECTIONS)
     p.add_argument("--config", help="JSON chimeric config")
     p.add_argument("--model-out", help="optional model checkpoint path")
     p.add_argument("--out", required=True)
@@ -233,11 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="grid-search configs by hidden-pair recovery")
     add_pair_args(p)
     p.add_argument("--grid", required=True, help="JSON list of configs")
-    p.add_argument("--protocol", default="leave_one_out",
-                   choices=["leave_one_out", "half_split"])
+    p.add_argument("--protocol", default="leave_one_out", choices=PROTOCOLS)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--method", default="chimeric",
-                   choices=["kmf", "chimeric", "kmf_then_chimeric", "kang"])
+    p.add_argument("--method", default="chimeric", choices=METHODS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_tune)
 

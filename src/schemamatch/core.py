@@ -14,6 +14,9 @@ import numpy as np
 CONTINUOUS = "continuous"
 BINARY = "binary"
 
+#: how a scenario's gold map relates the two databases' unmapped columns
+MAP_KINDS = ("permutation", "onto", "partial")
+
 #: cell spellings treated as missing when reading delimited text (case-insensitive)
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
 
@@ -105,7 +108,7 @@ class Dataset:
 class ScenarioSpec:
     """Ground truth and provenance for one constructed matching scenario."""
 
-    map_kind: str  # "permutation" | "onto" | "partial"
+    map_kind: str  # one of MAP_KINDS
     gold_map: tuple[tuple[str, str], ...]
     transformed_features: tuple[tuple[str, str], ...] = ()
     seed: int = 0
@@ -121,7 +124,7 @@ class ScenarioSpec:
     rows_b: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.map_kind not in ("permutation", "onto", "partial"):
+        if self.map_kind not in MAP_KINDS:
             raise ValueError(f"unknown map_kind {self.map_kind!r}")
         a_side = [a for a, _ in self.gold_map]
         b_side = [b for _, b in self.gold_map]
@@ -217,14 +220,19 @@ def _parse_cell(text: str):
 
 
 def read_table(path, name: str | None = None) -> RawTable:
-    """Read a delimited text file with a header row into a RawTable. A
-    non-finite number (such as `inf`) is an error naming its line and column."""
+    """Read a delimited text file with a header row into a RawTable. A row
+    whose cell count differs from the header's, or a non-finite number (such
+    as `inf`), is an error naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
+    for line, row in enumerate(rows[1:], start=2):  # CSV line 1 is the header
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line} has {len(row)} cells, "
+                             f"the header has {len(header)}")
     cells = [[_parse_cell(c) for c in row] for row in rows[1:]]
     table = RawTable(name=name or str(path), columns=header, cells=cells)
     for j, col in enumerate(header):
@@ -387,14 +395,18 @@ def read_mapped_sidecar(path) -> tuple[list[str], dict[str, float]]:
     names: list[str] = []
     weights: dict[str, float] = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             if "," in line:
                 name, w = line.rsplit(",", 1)
                 names.append(name.strip())
-                weights[name.strip()] = float(w)
+                try:
+                    weights[name.strip()] = float(w)
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: weight {w!r} "
+                                     "is not a number") from None
             else:
                 names.append(line)
     return names, weights

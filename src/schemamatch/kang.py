@@ -87,7 +87,8 @@ def _knockoff_pad(side: str, mi: np.ndarray, data, width: int, rng, bins: int) -
     n = values.shape[0]
     sources = rng.integers(0, p, size=width - p)
     codes = [discretize(col, bins) for col in values.T]
-    codes += [discretize(values[rng.permutation(n), src], bins) for src in sources]
+    # binning commutes with a row shuffle, so a knock-off's codes are its source's, shuffled
+    codes += [codes[src][rng.permutation(n)] for src in sources]
     out = np.zeros((width, width))
     out[:p, :p] = mi
     _mi_fill(out, codes, p)

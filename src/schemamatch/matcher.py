@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -84,21 +85,12 @@ def gale_shapley(sim: SimilarityMatrix, direction: str = "auto") -> list[MatchPr
     keys = np.where(sim.degenerate, -np.inf, sim.values)
     n_rows, n_cols = keys.shape
     if direction == "rows_apply" or (direction == "auto" and n_rows <= n_cols):
-        pairs = [(i, j, rank) for i, (j, rank) in _stable_match(keys).items()]
+        matched = _stable_match(keys)
     else:
-        pairs = [(i, j, rank) for j, (i, rank) in _stable_match(keys.T).items()]
-    pairs.sort()
-    # one gather for every matched cell; tolist gives the same Python floats
-    sims = sim.values[[i for i, _, _ in pairs], [j for _, j, _ in pairs]].tolist()
-    return [
-        MatchProposal(
-            feature_a=sim.row_features[i],
-            feature_b=sim.col_features[j],
-            similarity=s,
-            rank_of_choice=rank,
-        )
-        for (i, j, rank), s in zip(pairs, sims)
-    ]
+        matched = {i: (j, rank) for j, (i, rank) in _stable_match(keys.T).items()}
+    return [MatchProposal(sim.row_features[i], sim.col_features[j], float(sim.values[i, j]),
+                          rank_of_choice=rank)
+            for i, (j, rank) in sorted(matched.items())]
 
 
 def holdout_filter(
@@ -141,55 +133,38 @@ def holdout_filter(
     r = pearson_rows(a_values[:, ia].T, b_values[:, ib].T)
     pv = pearson_pvalues(r, n)
     mask = by_stepdown(pv, q)
-    return [
-        MatchProposal(
-            feature_a=p.feature_a,
-            feature_b=p.feature_b,
-            similarity=p.similarity,
-            holdout_stat=rt,
-            p_value=pt,
-            accepted=ok,
-            rank_of_choice=p.rank_of_choice,
-        )
-        for p, rt, pt, ok in zip(proposals, r.tolist(), pv.tolist(), mask.tolist())
-    ]
+    return [replace(p, holdout_stat=rt, p_value=pt, accepted=ok)
+            for p, rt, pt, ok in zip(proposals, r.tolist(), pv.tolist(), mask.tolist())]
+
+
+# (format, parse) of a proposals.csv cell by field type; a NaN float is an empty cell
+_CELLS = {str: (str, str), int: (str, int),
+          bool: (lambda v: "1" if v else "0", lambda s: s == "1"),
+          float: (lambda v: "" if math.isnan(v) else f"{v:.10g}",
+                  lambda s: float(s) if s else math.nan)}
+# one column per MatchProposal field, in field order
+_COLUMNS = {name: _CELLS[tp] for name, tp in get_type_hints(MatchProposal).items()}
 
 
 def proposals_to_csv(proposals: list[MatchProposal], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["feature_a", "feature_b", "similarity", "holdout_stat",
-             "p_value", "accepted", "rank_of_choice"]
-        )
+        writer.writerow(_COLUMNS)
         for p in proposals:
-            writer.writerow(
-                [
-                    p.feature_a,
-                    p.feature_b,
-                    f"{p.similarity:.10g}",
-                    "" if math.isnan(p.holdout_stat) else f"{p.holdout_stat:.10g}",
-                    "" if math.isnan(p.p_value) else f"{p.p_value:.10g}",
-                    "1" if p.accepted else "0",
-                    str(p.rank_of_choice),
-                ]
-            )
+            writer.writerow([fmt(getattr(p, name)) for name, (fmt, _) in _COLUMNS.items()])
 
 
 def proposals_from_csv(path) -> list[MatchProposal]:
-    out = []
+    """Read proposals_to_csv's output. The header must name every
+    MatchProposal field exactly once, in any order."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(
-                MatchProposal(
-                    feature_a=row["feature_a"],
-                    feature_b=row["feature_b"],
-                    similarity=float(row["similarity"]),
-                    holdout_stat=float(row["holdout_stat"]) if row["holdout_stat"] else math.nan,
-                    p_value=float(row["p_value"]) if row["p_value"] else math.nan,
-                    accepted=row["accepted"] == "1",
-                    rank_of_choice=int(row["rank_of_choice"]),
-                )
-            )
-    return out
+        header = reader.fieldnames or []
+        missing = [name for name in _COLUMNS if name not in header]
+        unknown = sorted(set(header) - set(_COLUMNS))
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if missing or unknown or repeated:
+            raise ValueError(f"{path}: proposals header: missing {missing}, "
+                             f"unknown {unknown}, repeated {repeated}")
+        return [MatchProposal(**{name: parse(row[name]) for name, (_, parse) in _COLUMNS.items()})
+                for row in reader]

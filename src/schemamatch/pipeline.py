@@ -26,6 +26,7 @@ from .stats import wilcoxon_ranksum
 from .synthgen import CovarianceSpec, GeneratorSpec, build_scenario, make_covariance, sample
 
 METHODS = ("kmf", "chimeric", "kmf_then_chimeric", "kang")
+PROTOCOLS = ("leave_one_out", "half_split")
 
 
 @dataclass(frozen=True)
@@ -372,7 +373,7 @@ class ExperimentConfig:
     n_samples: int = 10000
     map_kind: str = "permutation"
     sweep: str = "k_mapped"  # k_mapped | n_samples | extra_features | latent_dim
-    sweep_values: tuple = (2, 4, 6, 8, 10)
+    sweep_values: tuple[int, ...] = (2, 4, 6, 8, 10)
     fixed_k: int = 4
     drop_a: int = 0
     drop_b: int = 0
@@ -395,6 +396,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
+        # Python ints only: manifest.json must hold them
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in self.sweep_values):
+            raise ValueError(f"sweep_values must be integers, got {list(self.sweep_values)}")
         if self.n_trials < 1 or self.n_perms < 1:
             raise ValueError("n_trials and n_perms must be at least 1")
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BINARY, CONTINUOUS, Dataset, FeatureMeta, ScenarioSpec
+from .core import BINARY, CONTINUOUS, MAP_KINDS, Dataset, FeatureMeta, ScenarioSpec
 
 FAMILIES = (
     "gaussian",
@@ -142,7 +142,7 @@ def build_scenario(
         raise ValueError("permutation scenarios cannot drop columns")
     if map_kind == "onto" and (drop_a > 0) == (drop_b > 0):
         raise ValueError("onto scenarios drop columns from exactly one side")
-    if map_kind not in ("permutation", "onto", "partial"):
+    if map_kind not in MAP_KINDS:
         raise ValueError(f"unknown map_kind {map_kind!r}")
     if drop_a < 0 or drop_b < 0:
         raise ValueError("drop counts must be nonnegative")

@@ -395,6 +395,14 @@ def test_reconstruct_unshared_reads_target_column():
         reconstruct_unshared(model, ds, "zzz", "a_to_b")
 
 
+def test_reconstruct_unshared_checks_the_direction_first():
+    model = _hand_model()
+    ds = make_dataset(np.zeros((4, 3)), names=["a0", "a1", "a2"])
+    for fn, args in ((reconstruct_unshared, (ds, "b2")), (translate, (ds.values,))):
+        with pytest.raises(ValueError, match="unknown direction 'bogus'"):
+            fn(model, *args, "bogus")
+
+
 # ---------------------------------------------------------------- dependence
 
 def test_chimeric_dependence_pearson_recompute():

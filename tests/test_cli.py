@@ -221,3 +221,81 @@ def test_tune_rejects_kmf_before_reading_the_grid(tmp_path, capsys, caplog):
     assert capsys.readouterr().out == ""
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == ["kmf reads no config; there is nothing to tune"]
+
+
+def test_parser_choices_are_the_library_tuples():
+    from schemamatch import chimeric, core, pipeline, synthgen
+    from schemamatch.cli import build_parser
+
+    subs = next(a for a in build_parser()._actions if a.dest == "command").choices
+    choices = {(name, a.dest): tuple(a.choices) for name, p in subs.items()
+               for a in p._actions if a.choices is not None}
+    assert choices == {
+        ("synth", "family"): synthgen.FAMILIES,
+        ("synth", "map_kind"): core.MAP_KINDS,
+        ("match", "method"): pipeline.METHODS,
+        ("translate", "direction"): chimeric.TRANSLATION_DIRECTIONS,
+        ("tune", "protocol"): pipeline.PROTOCOLS,
+        ("tune", "method"): pipeline.METHODS,
+    }
+
+
+def _one_error(caplog):
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    return errors[0]
+
+
+def test_match_names_the_ragged_line(tmp_path, caplog):
+    d = _synth(tmp_path)
+    lines = (d / "a.csv").read_text().splitlines()
+    lines[3] += ",0.5"
+    (d / "a.csv").write_text("\n".join(lines) + "\n")
+    rc = main(["match", *_pair_args(d), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    width = len(lines[0].split(","))
+    assert _one_error(caplog) == (f"{d / 'a.csv'}: line 4 has {width + 1} cells, "
+                                  f"the header has {width}")
+
+
+def test_match_names_the_sidecar_line_of_a_bad_weight(tmp_path, caplog):
+    d = _synth(tmp_path)
+    names = (d / "b.mapped").read_text().split()
+    (d / "b.mapped").write_text(f"{names[0]}\n{names[1]},abc\n")
+    rc = main(["match", *_pair_args(d), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    assert _one_error(caplog) == f"{d / 'b.mapped'}: line 2: weight 'abc' is not a number"
+
+
+def test_tune_rejects_a_grid_that_is_not_a_list(tmp_path, capsys, caplog):
+    d = _synth(tmp_path, seed=5)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"latent_dim": 4}))
+    rc = main(["tune", *_pair_args(d), "--grid", str(grid_path)])
+    assert rc == 1
+    assert capsys.readouterr().out == ""
+    assert _one_error(caplog) == (f"{grid_path}: the grid must be a JSON list of configs, "
+                                  "got dict")
+
+
+def test_eval_rejects_a_proposals_file_without_a_column(tmp_path, capsys, caplog):
+    d = _synth(tmp_path)
+    props_path = tmp_path / "proposals.csv"
+    assert main(["match", *_pair_args(d), "--out", str(props_path)]) == 0
+    rows = list(csv.reader(props_path.open()))
+    with props_path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([row[:4] + row[5:] for row in rows])  # drop p_value
+    rc = main(["eval", "--proposals", str(props_path), "--scenario", str(d / "scenario.json")])
+    assert rc == 1
+    assert capsys.readouterr().out == ""
+    assert "missing ['p_value']" in _one_error(caplog)
+
+
+def test_bench_rejects_a_sweep_value_that_is_not_an_integer(tmp_path, caplog):
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"methods": ["kmf"], "sweep_values": [[1]]}))
+    out_dir = tmp_path / "bench"
+    rc = main(["bench", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert rc == 1
+    assert "sweep_values" in _one_error(caplog)
+    assert not out_dir.exists()

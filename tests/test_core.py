@@ -3,17 +3,20 @@
 import math
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from schemamatch.chimeric import ChimericConfig
 from schemamatch.core import (
     BINARY,
     CONTINUOUS,
+    MAP_KINDS,
     Dataset,
     FeatureMeta,
     RawTable,
@@ -29,6 +32,10 @@ from schemamatch.core import (
     write_dataset_csv,
     write_mapped_sidecar,
 )
+from schemamatch.kang import KangConfig
+from schemamatch.kmf import PromotionPolicy
+from schemamatch.pipeline import ExperimentConfig, MatchSettings
+from schemamatch.synthgen import build_scenario
 from helpers import make_dataset
 
 
@@ -102,6 +109,18 @@ def test_load_dataset_names_non_finite_cell(tmp_path):
     p = _write(tmp_path / "t.csv", "x,y\n1,2\n3,inf\n5,6\n")
     with pytest.raises(ValueError, match=r"t\.csv: line 3, column 'y'"):
         load_dataset(p)
+
+
+@pytest.mark.parametrize("text, line, cells", [
+    ("x,y\n1,2\n3\n5,6\n", 3, 1),
+    ("x,y\n1,2\n3,4,5\n", 3, 3),
+    ("x,y\n1,2\n3,4\n\n", 4, 0),  # a trailing blank line is a row of no cells
+])
+def test_read_table_names_a_ragged_line(tmp_path, text, line, cells):
+    p = _write(tmp_path / "t.csv", text)
+    with pytest.raises(ValueError) as err:
+        read_table(p)
+    assert str(err.value) == f"{p}: line {line} has {cells} cells, the header has 2"
 
 
 def test_read_table_empty_file(tmp_path):
@@ -282,6 +301,13 @@ def test_mapped_sidecar_weights(tmp_path):
     names, weights = read_mapped_sidecar(path)
     assert names == ["c0", "c1"]
     assert weights == {"c0": 0.25}
+
+
+def test_read_mapped_sidecar_names_the_line_of_a_bad_weight(tmp_path):
+    path = _write(tmp_path / "t.mapped", "m0,0.5\n\nm1,abc\n")
+    with pytest.raises(ValueError) as err:
+        read_mapped_sidecar(path)
+    assert str(err.value) == f"{path}: line 3: weight 'abc' is not a number"
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
@@ -479,8 +505,75 @@ def test_from_dict_names_missing_required_fields():
 def test_scenario_spec_validation():
     with pytest.raises(ValueError):
         ScenarioSpec(map_kind="bijective", gold_map=())
+    for kind in MAP_KINDS:
+        assert ScenarioSpec(map_kind=kind, gold_map=()).map_kind == kind
+    with pytest.raises(ValueError, match="unknown map_kind 'bijective'"):
+        build_scenario(make_dataset(np.zeros((4, 3))), "bijective", 1)
     with pytest.raises(ValueError):
         ScenarioSpec(map_kind="onto", gold_map=(("a", "b"), ("a", "c")))
     with pytest.raises(ValueError):
         ScenarioSpec(map_kind="onto", gold_map=(),
                      transformed_features=(("t", "square"), ("t", "square")))
+
+
+# ---------------------------------------------------------------- fuzzed configs
+
+_SCALAR = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=4))
+_JSON = st.recursive(_SCALAR, lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+                     max_leaves=6)
+# spellings the configs accept, so that generated objects also get past the names
+_WORDS = st.sampled_from(["kmf", "kang", "chimeric", "auto", "rows_apply", "pearson",
+                          "mutual_information", "tanh", "relu", "linear", "euclidean",
+                          "normal", "threshold", "top_fraction", "permutation", "onto",
+                          "partial", "k_mapped", "latent_dim", "gaussian", "x"])
+
+
+def _typed(tp):
+    """Values mostly of type `tp`, one in eight any JSON value."""
+    if type(None) in get_args(tp):
+        return st.none() | _typed(get_args(tp)[0])
+    if is_dataclass(tp):
+        return _objects(tp) | _JSON
+    if tp is tuple or get_origin(tp) is tuple:
+        item = _typed(get_args(tp)[0]) if get_args(tp) else _JSON
+        return st.lists(item, max_size=4) | _JSON
+    base = {int: st.integers(-2, 60), float: st.floats(-2.0, 2.0) | st.floats(),
+            bool: st.booleans(), str: _WORDS}[tp]
+    return st.one_of([base] * 7 + [_JSON])
+
+
+def _objects(cls):
+    """JSON objects built from `cls`'s keys: required keys mostly present, the
+    others now and then, and in one object of four a junk key."""
+    hints = get_type_hints(cls)
+    keys = {f.name: _typed(hints[f.name]) for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING
+                and f.default_factory is MISSING}
+    present = st.fixed_dictionaries({k: v for k, v in keys.items() if k in required},
+                                    optional={k: v for k, v in keys.items()
+                                              if k not in required})
+    lacking = st.fixed_dictionaries({}, optional=keys)
+    junk = st.dictionaries(st.sampled_from(["junk", "Seed", ""]), _JSON, min_size=1, max_size=2)
+    return (present | present | lacking
+            | st.tuples(present, junk).map(lambda dj: {**dj[1], **dj[0]}))
+
+
+_CONFIG_CLASSES = (ChimericConfig, KangConfig, MatchSettings, PromotionPolicy,
+                   ExperimentConfig, ScenarioSpec)
+
+
+@pytest.mark.parametrize("cls", _CONFIG_CLASSES, ids=lambda c: c.__name__)
+def test_from_dict_fuzz(cls):
+    """Any generated JSON object decodes into an instance or raises ValueError."""
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_objects(cls))
+    def check(d):
+        try:
+            got = from_dict(cls, d)
+        except ValueError:
+            return
+        assert isinstance(got, cls)
+
+    check()

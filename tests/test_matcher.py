@@ -371,6 +371,20 @@ def test_holdout_filter_equals_reference():
 
 # ------------------------------------------------------- CSV round trip
 
+# what proposals_to_csv writes for test_proposals_csv_round_trip's proposals: every
+# MatchProposal field in declaration order, floats as .10g, NaN as an empty cell, 1/0 bools
+PROPOSALS_CSV = (
+    "feature_a,feature_b,similarity,holdout_stat,p_value,accepted,rank_of_choice\r\n"
+    "x,y,0.123456789,-0.5,0.001,1,1\r\n"
+    "u,v,-1,,,0,0\r\n"
+)
+
+
+def _fields_repr(proposals):
+    """Each proposal's field values as reprs, so that NaN equals NaN."""
+    return [tuple(map(repr, astuple(p))) for p in proposals]
+
+
 def test_proposals_csv_round_trip(tmp_path):
     props = [
         MatchProposal("x", "y", similarity=0.123456789, holdout_stat=-0.5,
@@ -379,10 +393,48 @@ def test_proposals_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "p.csv"
     proposals_to_csv(props, path)
+    assert path.read_bytes() == PROPOSALS_CSV.encode()
     back = proposals_from_csv(path)
+    assert _fields_repr(back) == _fields_repr(props)
     assert back[0].feature_a == "x" and back[0].accepted
     assert back[0].similarity == pytest.approx(0.123456789, abs=1e-9)
     assert back[0].holdout_stat == pytest.approx(-0.5)
     assert back[1].similarity == -1.0
     assert math.isnan(back[1].holdout_stat) and math.isnan(back[1].p_value)
     assert not back[1].accepted and back[1].rank_of_choice == 0
+
+
+def test_proposals_from_csv_reads_columns_in_any_order(tmp_path):
+    header, *rows = [line.split(",") for line in PROPOSALS_CSV.splitlines()]
+    order = [6, 0, 5, 2, 4, 1, 3]
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(",".join(r[i] for i in order) for r in [header, *rows]) + "\n")
+    want = tmp_path / "want.csv"
+    want.write_text(PROPOSALS_CSV)
+    assert _fields_repr(proposals_from_csv(path)) == _fields_repr(proposals_from_csv(want))
+    proposals_to_csv(proposals_from_csv(path), path)
+    assert path.read_bytes() == PROPOSALS_CSV.encode()
+
+
+@pytest.mark.parametrize("header, missing, unknown", [
+    ("feature_a,feature_b,similarity,holdout_stat,accepted,rank_of_choice", ["p_value"], []),
+    ("feature_a,feature_b,similarity,holdout_stat,p_value,accepted,rank_of_choice,note",
+     [], ["note"]),
+    ("feature_a,feature_b,similarity,holdout,p_value,accepted,rank_of_choice",
+     ["holdout_stat"], ["holdout"]),
+    ("", list(PROPOSALS_CSV.split("\r\n")[0].split(",")), []),
+])
+def test_proposals_from_csv_checks_the_header(tmp_path, header, missing, unknown):
+    path = tmp_path / "p.csv"
+    path.write_text(header + "\n" if header else "")
+    with pytest.raises(ValueError) as err:
+        proposals_from_csv(path)
+    assert str(err.value).startswith(f"{path}: proposals header: ")
+    assert f"missing {missing}, unknown {unknown}" in str(err.value)
+
+
+def test_proposals_from_csv_rejects_a_repeated_column(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text(PROPOSALS_CSV.replace("rank_of_choice", "rank_of_choice,accepted", 1))
+    with pytest.raises(ValueError, match=r"repeated \['accepted'\]"):
+        proposals_from_csv(path)

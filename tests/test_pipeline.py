@@ -402,6 +402,11 @@ def test_experiment_config_validation():
         ExperimentConfig(methods=("kmf", "psychic"))
     with pytest.raises(ValueError, match="sweep_values"):
         ExperimentConfig(sweep_values=())
+    for bad in ((2, True), (2.0,), (2.5,), ("4",), ([1],), (np.int64(3),)):
+        with pytest.raises(ValueError, match="sweep_values must be integers"):
+            ExperimentConfig(sweep_values=bad)
+    with pytest.raises(ValueError, match="sweep_values must be int"):
+        from_dict(ExperimentConfig, {"sweep_values": [[1]]})
     with pytest.raises(ValueError, match="n_trials"):
         ExperimentConfig(n_trials=0)
     with pytest.raises(ValueError, match="n_perms"):

@@ -328,6 +328,19 @@ def test_discretize_equals_reference_on_edge_values(x, bins):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(kind=st_.sampled_from(_COLUMN_KINDS), n=st_.integers(1, 3000),
+       bins=st_.integers(2, 12), seed=st_.integers(0, 2**32 - 1))
+def test_discretize_commutes_with_row_shuffle(kind, n, bins, seed):
+    # kang._knockoff_pad codes a knock-off as its source column's codes, shuffled
+    rng = np.random.default_rng(seed)
+    x = _column(kind, n, rng)
+    perm = rng.permutation(n)
+    got, want = discretize(x[perm], bins), discretize(x, bins)[perm]
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(bins=st_.integers(2, 12), n=st_.integers(1, 800), width=st_.integers(1, 6),
        seed=st_.integers(0, 2**32 - 1))

@@ -177,11 +177,11 @@ def _side_pass(
     orthogonalization. Adds each network's parameter gradients into
     grads[network], in the order computed, and returns the losses
     (ae, ce, cy, orth, total)."""
-    lat, c_enc = f_src.forward(x, train=True, rng=rng)
-    rec, c_dec = g_src.forward(lat, train=True, rng=rng)
-    z, c_xdec = g_dst.forward(lat, train=True, rng=rng)
-    lat2, c_xenc = f_dst.forward(z, train=True, rng=rng)
-    cyc, c_dec2 = g_src.forward(lat2, train=True, rng=rng)
+    lat, c_enc = f_src.forward(x, rng)
+    rec, c_dec = g_src.forward(lat, rng)
+    z, c_xdec = g_dst.forward(lat, rng)
+    lat2, c_xenc = f_dst.forward(z, rng)
+    cyc, c_dec2 = g_src.forward(lat2, rng)
 
     ae, d_rec = _mse(rec, x)
     ce, d_z_ce = cross_loss(z, x, k, weights)

@@ -132,7 +132,10 @@ def _cmd_eval(args) -> int:
     proposals = proposals_from_csv(args.proposals)
     with open(args.scenario) as fh:
         scenario = ScenarioSpec.from_json(fh.read())
-    rep = evaluate(proposals, scenario)
+    try:
+        rep = evaluate(proposals, scenario)
+    except ValueError as exc:  # a proposal names a feature the scenario lacks
+        raise ValueError(f"{args.proposals}: {exc}") from None
     line = (
         f"tp={rep.tp} fp={rep.fp} fn={rep.fn} f1={rep.f1:.6f} n_gold={rep.n_gold}"
     )

@@ -37,11 +37,9 @@ class KangConfig:
 @dataclass
 class KangResult:
     """assignment[i] = B-column matched to A-column i (padded indexing);
-    positions >= n_real_a are knock-offs, columns >= n_real_b likewise."""
+    positions >= mi_a's width are knock-offs, columns >= mi_b's width likewise."""
 
     assignment: np.ndarray
-    n_real_a: int
-    n_real_b: int
     pair_scores: np.ndarray  # per-position summed similarity contribution
 
 
@@ -251,9 +249,4 @@ def kang_match(
             best_obj = obj
             best_pi = pi
 
-    return KangResult(
-        assignment=best_pi,
-        n_real_a=n_real_a,
-        n_real_b=n_real_b,
-        pair_scores=_pair_matrix(mi_a, mi_b, best_pi, cfg).sum(axis=1),
-    )
+    return KangResult(best_pi, _pair_matrix(mi_a, mi_b, best_pi, cfg).sum(axis=1))

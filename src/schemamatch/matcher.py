@@ -137,9 +137,15 @@ def holdout_filter(
             for p, rt, pt, ok in zip(proposals, r.tolist(), pv.tolist(), mask.tolist())]
 
 
+def _parse_bool(s: str) -> bool:
+    if s not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {s!r}")
+    return s == "1"
+
+
 # (format, parse) of a proposals.csv cell by field type; a NaN float is an empty cell
 _CELLS = {str: (str, str), int: (str, int),
-          bool: (lambda v: "1" if v else "0", lambda s: s == "1"),
+          bool: (lambda v: "1" if v else "0", _parse_bool),
           float: (lambda v: "" if math.isnan(v) else f"{v:.10g}",
                   lambda s: float(s) if s else math.nan)}
 # one column per MatchProposal field, in field order
@@ -156,15 +162,27 @@ def proposals_to_csv(proposals: list[MatchProposal], path) -> None:
 
 def proposals_from_csv(path) -> list[MatchProposal]:
     """Read proposals_to_csv's output. The header must name every
-    MatchProposal field exactly once, in any order."""
+    MatchProposal field exactly once, in any order. A row with another cell
+    count, or a cell its field cannot hold, is an error naming its line."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [name for name in _COLUMNS if name not in header]
         unknown = sorted(set(header) - set(_COLUMNS))
         repeated = sorted({c for c in header if header.count(c) > 1})
         if missing or unknown or repeated:
             raise ValueError(f"{path}: proposals header: missing {missing}, "
                              f"unknown {unknown}, repeated {repeated}")
-        return [MatchProposal(**{name: parse(row[name]) for name, (_, parse) in _COLUMNS.items()})
-                for row in reader]
+        proposals = []
+        for row in filter(None, reader):  # blank lines hold no proposal
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where} has {len(row)} cells, the header has {len(header)}")
+            fields = {}
+            for name, cell in zip(header, row):
+                try:
+                    fields[name] = _COLUMNS[name][1](cell)
+                except ValueError as exc:
+                    raise ValueError(f"{where}, column {name!r}: {exc}") from None
+            proposals.append(MatchProposal(**fields))
+        return proposals

@@ -1,7 +1,8 @@
 """Minimal dense-network engine: fixed-architecture MLPs with hand-written
 backpropagation, Adam, and a reduce-on-plateau learning-rate schedule.
 
-Everything runs in float64. `backward` returns both the parameter gradients and
+Everything runs in float64. `Mlp.forward` is the training pass and `Mlp.predict`
+the only evaluation pass. `backward` returns both the parameter gradients and
 the gradient with respect to the network input, so multiple networks can be
 chained (encoder/decoder compositions) by passing gradients through.
 """
@@ -75,7 +76,7 @@ class Mlp:
     """Fully connected network with one activation tag per weight layer.
 
     `dropout_sites` are 0-based weight-layer indices; inverted Bernoulli
-    dropout is applied after that layer's activation during training only.
+    dropout is applied after that layer's activation in `forward`.
     Weights start uniform on ±sqrt(6 / (fan_in + fan_out)), biases at zero.
     """
 
@@ -133,31 +134,30 @@ class Mlp:
         return x
 
     def predict(self, x) -> np.ndarray:
-        """Evaluation output, bit-identical to forward(x)[0], holding one
+        """The evaluation pass: the plain network without dropout, holding one
         layer's activations at a time and building no cache."""
         a = self._check_input(x)
         for w, b, act in zip(self.weights, self.biases, self.activations):
             a = _layer(a, w, b, act)
         return a
 
-    def forward(self, x, train: bool = False, rng=None):
-        """Run the network; returns (output, cache). Dropout needs `rng` when
-        training with a nonzero rate."""
+    def forward(self, x, rng=None):
+        """The training pass; returns (output, cache). Dropout applies at every
+        site when the rate is above 0, and then needs `rng`."""
+        sites = self.dropout_sites if self.dropout_rate > 0.0 else ()
+        if sites and rng is None:
+            raise ValueError("training forward with dropout needs an rng")
+        keep = 1.0 - self.dropout_rate
         layers: list[_LayerCache] = []
         a = self._check_input(x)
         for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
             post = _layer(a, w, b, act)
             mask = None
-            out = post
-            if train and self.dropout_rate > 0.0 and i in self.dropout_sites:
-                if rng is None:
-                    raise ValueError("training forward with dropout needs an rng")
-                keep = 1.0 - self.dropout_rate
+            if i in sites:
                 mask = (rng.random(post.shape) < keep).astype(np.float64)
                 mask /= keep
-                out = post * mask
             layers.append(_LayerCache(inputs=a, post=post, mask=mask))
-            a = out
+            a = post if mask is None else post * mask
         return a, ForwardCache(layers, self._version)
 
     def backward(self, cache: ForwardCache, grad_output):

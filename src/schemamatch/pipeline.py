@@ -13,7 +13,7 @@ import numpy as np
 
 from . import chimeric as chimeric_mod
 from . import kang as kang_mod
-from .core import Dataset, ScenarioSpec, reorder_mapped_first, unit_norm
+from .core import MAP_KINDS, Dataset, ScenarioSpec, reorder_mapped_first, unit_norm
 from .kmf import (
     PromotionPolicy,
     fingerprint_translation,
@@ -23,7 +23,8 @@ from .kmf import (
 )
 from .matcher import DIRECTIONS, MatchProposal, gale_shapley, holdout_filter
 from .stats import wilcoxon_ranksum
-from .synthgen import CovarianceSpec, GeneratorSpec, build_scenario, make_covariance, sample
+from .synthgen import (FAMILIES, CovarianceSpec, GeneratorSpec, build_scenario,
+                       make_covariance, sample)
 
 METHODS = ("kmf", "chimeric", "kmf_then_chimeric", "kang")
 PROTOCOLS = ("leave_one_out", "half_split")
@@ -52,12 +53,10 @@ class MatchSettings:
 
 @dataclass
 class MethodResult:
-    method: str
+    """A method's proposals, and the trained model of the chimeric methods."""
+
     proposals: list[MatchProposal]
     model: chimeric_mod.ChimericModel | None = None
-    stage_one: list[MatchProposal] | None = None
-    promoted: list[MatchProposal] = field(default_factory=list)
-    mapped_after_promotion: int = 0
 
 
 @dataclass
@@ -87,7 +86,7 @@ def run_kmf(ds_a: Dataset, ds_b: Dataset, settings: MatchSettings | None = None)
     if ds_a.mapped_count < 1:
         raise ValueError("KMF needs at least one mapped feature")
     if not ds_a.unmapped_names or not ds_b.unmapped_names:
-        return MethodResult(method="kmf", proposals=[])
+        return MethodResult([])
     tr_a, ho_a = split_rows(ds_a.n_rows, settings.holdout_fraction, settings.split_seed)
     tr_b, _ = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
     fp_a, fp_b = fingerprints(ds_a.subset_rows(tr_a)), fingerprints(ds_b.subset_rows(tr_b))
@@ -99,7 +98,7 @@ def run_kmf(ds_a: Dataset, ds_b: Dataset, settings: MatchSettings | None = None)
         proposals, a_hold, ds_a.feature_names, translated, fp_b.row_features,
         q=settings.fdr_q,
     )
-    return MethodResult(method="kmf", proposals=proposals)
+    return MethodResult(proposals)
 
 
 def run_chimeric(
@@ -121,7 +120,7 @@ def run_chimeric(
     a_train, b_train = ds_a.subset_rows(tr_a), ds_b.subset_rows(tr_b)
     model = chimeric_mod.train(a_train, b_train, cfg)
     if not ds_a.unmapped_names or not ds_b.unmapped_names:
-        return MethodResult(method="chimeric", proposals=[], model=model)
+        return MethodResult([], model)
     flip = settings.flip_translation
     src, src_train, ho_src, dst = ((ds_b, b_train, ho_b, ds_a) if flip
                                    else (ds_a, a_train, ho_a, ds_b))
@@ -140,7 +139,7 @@ def run_chimeric(
     if flip:
         proposals = [replace(p, feature_a=p.feature_b, feature_b=p.feature_a)
                      for p in proposals]
-    return MethodResult(method="chimeric", proposals=proposals, model=model)
+    return MethodResult(proposals, model)
 
 
 def run_two_stage(
@@ -156,17 +155,10 @@ def run_two_stage(
     settings = settings or MatchSettings()
     stage_one = run_kmf(ds_a, ds_b, settings).proposals
     ds_a2, ds_b2, promoted = promote_matches(ds_a, ds_b, stage_one, settings.promotion)
-    stage_two = MethodResult(method="chimeric", proposals=[])
-    if ds_a2.unmapped_names and ds_b2.unmapped_names:
-        stage_two = run_chimeric(ds_a2, ds_b2, cfg, settings)
-    return MethodResult(
-        method="kmf_then_chimeric",
-        proposals=promoted + stage_two.proposals,
-        model=stage_two.model,
-        stage_one=stage_one,
-        promoted=promoted,
-        mapped_after_promotion=ds_a2.mapped_count,
-    )
+    if not ds_a2.unmapped_names or not ds_b2.unmapped_names:
+        return MethodResult(promoted)
+    stage_two = run_chimeric(ds_a2, ds_b2, cfg, settings)
+    return MethodResult(promoted + stage_two.proposals, stage_two.model)
 
 
 def run_kang(
@@ -189,11 +181,9 @@ def run_kang(
     names_a = ds_a.feature_names
     names_b = ds_b.feature_names
     proposals = []
-    for i in range(result.n_real_a):
-        if i < k:
-            continue  # anchors are not proposals
+    for i in range(k, ds_a.n_features):  # anchors are not proposals
         j = int(result.assignment[i])
-        if j >= result.n_real_b:
+        if j >= ds_b.n_features:
             continue  # matched to a knock-off: no proposal
         proposals.append(
             MatchProposal(
@@ -204,7 +194,7 @@ def run_kang(
                 rank_of_choice=1,
             )
         )
-    return MethodResult(method="kang", proposals=proposals)
+    return MethodResult(proposals)
 
 
 def run_method(
@@ -389,6 +379,10 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if self.map_kind not in MAP_KINDS:
+            raise ValueError(f"unknown map_kind {self.map_kind!r}; expected one of {MAP_KINDS}")
         if self.sweep not in ("k_mapped", "n_samples", "extra_features", "latent_dim"):
             raise ValueError(f"unknown sweep {self.sweep!r}")
         for m in self.methods:
@@ -482,41 +476,32 @@ def iter_replicates(cfg: ExperimentConfig):
 
 def run_benchmark(cfg: ExperimentConfig, out_dir) -> dict[str, str]:
     """Run the full replicated sweep and write results.csv, summary.csv,
-    wilcoxon.csv, and manifest.json. Output is byte-stable for a fixed config."""
-    os.makedirs(out_dir, exist_ok=True)
+    wilcoxon.csv, and manifest.json. Output is byte-stable for a fixed config.
+    `out_dir` is made only after the last replicate, so a failed run leaves
+    nothing behind."""
     rows = []
+    f1s: dict[tuple, list[float]] = {}  # (value, method) -> F1s, in row order
+    pooled: dict[str, list[float]] = {m: [] for m in cfg.methods}
     for value, trial, perm, results in iter_replicates(cfg):
         for method in cfg.methods:
-            res, rep, err = results[method]
-            rows.append(
-                {
-                    "sweep": cfg.sweep,
-                    "value": value,
-                    "trial": trial,
-                    "perm": perm,
-                    "method": method,
-                    "tp": rep.tp if rep else "",
-                    "fp": rep.fp if rep else "",
-                    "fn": rep.fn if rep else "",
-                    "f1": f"{rep.f1:.6f}" if rep else "",
-                    "error": err,
-                }
-            )
+            _, rep, err = results[method]
+            if rep is None:
+                rows.append([cfg.sweep, value, trial, perm, method, "", "", "", "", err])
+                continue
+            f1 = f"{rep.f1:.6f}"
+            rows.append([cfg.sweep, value, trial, perm, method, rep.tp, rep.fp, rep.fn, f1, err])
+            f1s.setdefault((value, method), []).append(float(f1))
+            pooled[method].append(float(f1))
 
+    os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     with open(results_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["sweep", "value", "trial", "perm", "method",
-                            "tp", "fp", "fn", "f1", "error"]
-        )
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(["sweep", "value", "trial", "perm", "method",
+                         "tp", "fp", "fn", "f1", "error"])
         writer.writerows(rows)
 
     summary_path = os.path.join(out_dir, "summary.csv")
-    f1s: dict[tuple, list[float]] = {}
-    for row in rows:
-        if row["f1"] != "":
-            f1s.setdefault((row["value"], row["method"]), []).append(float(row["f1"]))
     with open(summary_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["value", "method", "n", "mean_f1", "sd_f1"])
@@ -531,10 +516,6 @@ def run_benchmark(cfg: ExperimentConfig, out_dir) -> dict[str, str]:
                 writer.writerow([value, method, len(vals), f"{mean:.6f}", sd])
 
     wilcoxon_path = os.path.join(out_dir, "wilcoxon.csv")
-    pooled: dict[str, list[float]] = {m: [] for m in cfg.methods}
-    for row in rows:
-        if row["f1"] != "":
-            pooled[row["method"]].append(float(row["f1"]))
     with open(wilcoxon_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method_a", "method_b", "n_a", "n_b", "u", "p"])

@@ -50,6 +50,15 @@ def test_column_scaler_round_trip():
     assert np.allclose(sc.inverse(z), x, atol=1e-12)
 
 
+def test_column_scaler_is_invariant_to_positive_affine_maps():
+    # what the networks see does not depend on a database's units or offsets
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((200, 4))
+    y = x * rng.uniform(0.5, 3.0, 4) + rng.uniform(-5.0, 5.0, 4)
+    assert np.allclose(ColumnScaler.fit(y).transform(y), ColumnScaler.fit(x).transform(x),
+                       atol=1e-12)
+
+
 def test_column_scaler_constant_column():
     x = np.column_stack([np.full(20, 3.0), np.arange(20.0)])
     sc = ColumnScaler.fit(x)
@@ -345,18 +354,25 @@ def test_translate_is_scaled_encode_decode():
         translate(model, x, "sideways")
 
 
+# each activation as a single textbook expression
+_TEXTBOOK = {"linear": lambda z: z, "tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0),
+             "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z))}
+
+
 def _reference_translate(model, values, direction):
-    """translate spelled out with the cached forward path and the scalers'
-    formulas written as single expressions."""
+    """translate spelled out layer by layer, with the activations and the
+    scalers' formulas written as single expressions."""
     if direction == "a_to_b":
         enc, dec, s_in, s_out = (model.encoder_a, model.decoder_b,
                                  model.scaler_a, model.scaler_b)
     else:
         enc, dec, s_in, s_out = (model.encoder_b, model.decoder_a,
                                  model.scaler_b, model.scaler_a)
-    lat, _ = enc.forward((values - s_in.mean) / s_in.std, train=False)
-    out, _ = dec.forward(lat, train=False)
-    return out * s_out.std + s_out.mean
+    a = (values - s_in.mean) / s_in.std
+    for net in (enc, dec):
+        for w, b, act in zip(net.weights, net.biases, net.activations):
+            a = _TEXTBOOK[act](a @ w + b)
+    return a * s_out.std + s_out.mean
 
 
 @pytest.mark.parametrize("cfg", [

@@ -4,11 +4,13 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from schemamatch.chimeric import load_model
 from schemamatch.cli import main
 from schemamatch.core import ScenarioSpec
-from schemamatch.matcher import proposals_from_csv
+from schemamatch.matcher import _COLUMNS, proposals_from_csv
 
 
 def _synth(tmp_path, seed=3):
@@ -298,4 +300,90 @@ def test_bench_rejects_a_sweep_value_that_is_not_an_integer(tmp_path, caplog):
     rc = main(["bench", "--config", str(cfg_path), "--out", str(out_dir)])
     assert rc == 1
     assert "sweep_values" in _one_error(caplog)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("column, cell, why", [
+    (None, None, " has 6 cells, the header has 7"),
+    ("similarity", "abc", ", column 'similarity': could not convert string to float: 'abc'"),
+    ("accepted", "yes", ", column 'accepted': expected 0 or 1, got 'yes'"),
+], ids=["short_row", "float", "bool"])
+def test_eval_names_the_bad_proposals_cell(tmp_path, capsys, caplog, column, cell, why):
+    d = _synth(tmp_path)
+    props_path = tmp_path / "proposals.csv"
+    assert main(["match", *_pair_args(d), "--out", str(props_path)]) == 0
+    rows = list(csv.reader(props_path.open()))
+    if column is None:
+        rows[2] = rows[2][:6]
+    else:
+        rows[2][rows[0].index(column)] = cell
+    with props_path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    rc = main(["eval", "--proposals", str(props_path), "--scenario", str(d / "scenario.json")])
+    assert rc == 1
+    assert capsys.readouterr().out == ""
+    assert _one_error(caplog) == f"{props_path}: line 3{why}"
+
+
+_FEATURES_A, _FEATURES_B = ("a0", "a1", "a2"), ("b0", "b1", "b2")
+# per proposals.csv column, cells it holds; any column may also get junk
+_GOOD_CELLS = {
+    "feature_a": st.sampled_from(_FEATURES_A), "feature_b": st.sampled_from(_FEATURES_B),
+    "similarity": st.floats().map(str), "holdout_stat": st.just(""),
+    "p_value": st.floats(0, 1).map(str), "accepted": st.sampled_from(["0", "1"]),
+    "rank_of_choice": st.integers(0, 3).map(str),
+}
+_JUNK = st.one_of(st.text(max_size=5), st.sampled_from(["", "nan", "inf", "1e400", "True", "a1"]))
+
+
+@st.composite
+def _proposal_rows(draw):
+    """Rows under the real proposals header: well-formed cells, now and then
+    one junk cell, and now and then a row a cell short or long."""
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        row = [draw(_GOOD_CELLS[c]) for c in _COLUMNS]
+        if draw(st.integers(0, 3)) == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_JUNK)
+        cut = draw(st.integers(0, 9))
+        rows.append(row[:-1] if cut == 8 else row + ["0"] if cut == 9 else row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_proposal_rows())
+def test_eval_fuzzed_proposals_exit_cleanly(tmp_path, capsys, caplog, rows):
+    """eval on any rows under the real header exits 0 with its report line,
+    or 1 with one log line naming the proposals file, never a traceback."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(ScenarioSpec(
+        map_kind="permutation", gold_map=(("a1", "b1"), ("a2", "b2")),
+        features_a=_FEATURES_A, features_b=_FEATURES_B).to_json())
+    props_path = tmp_path / "proposals.csv"
+    with props_path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([list(_COLUMNS)] + rows)
+    capsys.readouterr()
+    caplog.clear()
+    rc = main(["eval", "--proposals", str(props_path), "--scenario", str(scenario)])
+    shown = capsys.readouterr().out
+    if rc == 0:
+        assert shown.startswith("tp=")
+    else:
+        assert rc == 1 and shown == ""
+        assert str(props_path) in _one_error(caplog)
+
+
+def test_bench_out_of_range_sweep_value_leaves_no_directory(tmp_path, caplog):
+    # the second sweep value maps every column, which build_scenario refuses
+    # after the first value's replicates have run
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({
+        "family": "independent_gaussian", "dim": 6, "n_samples": 300,
+        "sweep_values": [2, 6], "methods": ["kmf"], "n_trials": 1, "n_perms": 1,
+    }))
+    out_dir = tmp_path / "bench"
+    rc = main(["bench", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert rc == 1
+    assert "k_mapped" in _one_error(caplog)
     assert not out_dir.exists()

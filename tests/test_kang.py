@@ -91,7 +91,7 @@ def _recovery_rate(m, cfg, total):
     hits = 0
     for seed in RECOVERY_SEEDS:
         res = kang_match(m, m, cfg=replace(cfg, seed=seed))
-        assert res.n_real_a == res.n_real_b == m.shape[0]
+        assert len(res.assignment) == m.shape[0]  # equal widths: no knock-off
         if np.array_equal(res.assignment, np.arange(m.shape[0])):
             assert res.pair_scores.sum() / 2 == pytest.approx(total, abs=1e-12)
             hits += 1
@@ -219,9 +219,10 @@ def test_padding_smaller_b_side():
     mi_b = mi_matrix(x_b)
     res = kang_match(mi_a, mi_b, cfg=KangConfig(iterations=600, seed=15),
                      data_b=x_b)
-    assert res.n_real_a == 4
-    assert res.n_real_b == 2
+    assert len(res.assignment) == mi_a.shape[0] == 4
     assert sorted(res.assignment.tolist()) == list(range(4))
+    # B's two knock-off columns (indices >= mi_b's width) go to two A columns
+    assert np.sum(res.assignment >= mi_b.shape[0]) == 4 - mi_b.shape[0]
     with pytest.raises(ValueError, match="requires data_b"):
         kang_match(mi_a, mi_b, cfg=KangConfig(iterations=600, seed=15))
     with pytest.raises(ValueError, match="data_b width"):
@@ -236,9 +237,8 @@ def test_padding_smaller_a_side():
     mi_b = mi_matrix(x_b)
     res = kang_match(mi_a, mi_b, cfg=KangConfig(iterations=600, seed=18),
                      data_a=x_a)
-    assert res.n_real_a == 2
-    assert res.n_real_b == 5
-    assert res.assignment.shape == (5,)
+    # A is padded with knock-off positions up to mi_b's width
+    assert res.assignment.shape == res.pair_scores.shape == (mi_b.shape[0],)
     assert sorted(res.assignment.tolist()) == list(range(5))
     with pytest.raises(ValueError, match="requires data_a"):
         kang_match(mi_a, mi_b, cfg=KangConfig(iterations=600, seed=18))

@@ -133,17 +133,17 @@ def test_backprop_activation_equals_derivative_from_preactivation(name, z, seed)
     seed=st.integers(0, 2**32 - 1),
 )
 def test_predict_equals_forward_output(acts, widths, sites, rows, seed):
-    """The cache-free evaluation path gives forward's output bit for bit, for
-    every activation, with or without dropout sites (inactive at evaluation),
-    and leaves its input alone."""
-    rng = np.random.default_rng(seed)
+    """The evaluation pass gives the training pass's output bit for bit on the
+    same weights without dropout, for every activation, with or without
+    dropout sites (inactive at evaluation), and leaves its input alone."""
     sizes = widths[:len(acts) + 1]
     net = Mlp(sizes, acts, dropout_sites=[i for i in sites if i < len(acts)],
-              dropout_rate=0.5, rng=rng)
-    x = 3.0 * rng.standard_normal((rows, net.in_dim))
+              dropout_rate=0.5, rng=np.random.default_rng(seed))
+    plain = Mlp(sizes, acts, rng=np.random.default_rng(seed))  # same weights
+    x = 3.0 * np.random.default_rng([seed, 1]).standard_normal((rows, net.in_dim))
     before = x.copy()
     got = net.predict(x)
-    assert np.array_equal(got, net.forward(x)[0])
+    assert np.array_equal(got, plain.forward(x)[0])
     assert np.array_equal(x, before)
     assert not np.shares_memory(got, x)
 
@@ -200,12 +200,13 @@ def test_dropout_needs_rng_and_only_in_training():
               rng=rng)
     x = rng.standard_normal((5, 2))
     with pytest.raises(ValueError, match="rng"):
-        net.forward(x, train=True)
-    # evaluation forward is deterministic and mask-free
-    out1, c1 = net.forward(x)
-    out2, _ = net.forward(x)
-    assert np.array_equal(out1, out2)
-    assert all(layer.mask is None for layer in c1.layers)
+        net.forward(x)
+    # the evaluation pass is deterministic; the dropout-free training pass is
+    # mask-free and needs no rng
+    assert np.array_equal(net.predict(x), net.predict(x))
+    plain = Mlp([2, 8, 2], ["tanh", "linear"], dropout_sites=(0,), rng=rng)
+    _, cache = plain.forward(x)
+    assert all(layer.mask is None for layer in cache.layers)
 
 
 def test_dropout_mask_statistics():
@@ -213,7 +214,7 @@ def test_dropout_mask_statistics():
     net = Mlp([2, 6, 2], ["tanh", "linear"], dropout_sites=(0,), dropout_rate=0.5,
               rng=rng)
     x = rng.standard_normal((4, 2))
-    _, cache = net.forward(x, train=True, rng=rng)
+    _, cache = net.forward(x, rng)
     mask = cache.layers[0].mask
     assert mask is not None and cache.layers[1].mask is None
     assert set(np.unique(mask)) <= {0.0, 2.0}  # inverted scaling by 1/keep
@@ -221,17 +222,16 @@ def test_dropout_mask_statistics():
 
 def test_dropout_expectation_matches_eval():
     # E[dropped activation] equals the eval activation; compare the mean of the
-    # dropped hidden layer over many draws against the deterministic pass
+    # dropped hidden layer over many draws against the dropout-free hidden layer
     rng = np.random.default_rng(67)
     net = Mlp([3, 16, 2], ["tanh", "linear"], dropout_sites=(0,), dropout_rate=0.5,
               rng=rng)
     x = rng.standard_normal((2, 3))
-    _, eval_cache = net.forward(x)
-    eval_hidden = eval_cache.layers[0].post
+    eval_hidden = np.tanh(x @ net.weights[0] + net.biases[0])
     total = np.zeros_like(eval_hidden)
     n = 10000
     for _ in range(n):
-        _, c = net.forward(x, train=True, rng=rng)
+        _, c = net.forward(x, rng)
         total += c.layers[0].post * c.layers[0].mask
     avg = total / n
     denom = np.abs(eval_hidden).mean()
@@ -377,7 +377,7 @@ def test_save_load_round_trip(tmp_path):
     with np.load(path) as data:
         load_mlp_arrays(back, data, "n_")
     x = rng.standard_normal((4, 3))
-    assert np.array_equal(back.forward(x)[0], net.forward(x)[0])
+    assert np.array_equal(back.predict(x), net.predict(x))
 
 
 def test_load_rejects_tampered_shapes(tmp_path):

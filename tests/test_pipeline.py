@@ -12,7 +12,7 @@ from schemamatch import pipeline
 from schemamatch.chimeric import ChimericConfig, translate
 from schemamatch.core import BINARY, ScenarioSpec, from_dict
 from schemamatch.kang import KangConfig, mi_matrix
-from schemamatch.kmf import PromotionPolicy, promote_matches
+from schemamatch.kmf import PromotionPolicy, fingerprints, kmf_similarity, promote_matches
 from schemamatch.matcher import MatchProposal
 from schemamatch.pipeline import (
     ExperimentConfig,
@@ -31,7 +31,8 @@ from schemamatch.pipeline import (
     withheld_truth,
 )
 from schemamatch.stats import pearson
-from schemamatch.synthgen import GeneratorSpec, build_scenario, sample
+from schemamatch.synthgen import (CovarianceSpec, GeneratorSpec, build_scenario,
+                                  make_covariance, sample)
 from helpers import correlated_pair, make_dataset, reference_mi_matrix
 
 
@@ -215,7 +216,6 @@ def test_tune_validation():
 def test_run_kang_skips_anchors():
     ds_a, ds_b = correlated_pair(300, 5, 2, seed=8)
     res = run_kang(ds_a, ds_b, KangConfig(iterations=200, seed=3))
-    assert res.method == "kang"
     assert len(res.proposals) == 3
     mapped = set(ds_a.mapped_names)
     for p in res.proposals:
@@ -230,12 +230,12 @@ def test_run_two_stage_structure():
     ds_a, ds_b = correlated_pair(600, 8, 4, seed=9)
     cfg = ChimericConfig(latent_dim=2, hidden=(8, 4), epochs=2, lr=1e-3, seed=1)
     res = run_two_stage(ds_a, ds_b, cfg)
-    assert res.method == "kmf_then_chimeric"
-    assert res.stage_one is not None
-    assert res.mapped_after_promotion == 4 + len(res.promoted)
-    n_promoted = len(res.promoted)
-    assert res.proposals[:n_promoted] == res.promoted
-    promoted_a = {p.feature_a for p in res.promoted}
+    ds_a2, _, promoted = promote_matches(
+        ds_a, ds_b, run_kmf(ds_a, ds_b).proposals, MatchSettings().promotion)
+    assert ds_a2.mapped_count == 4 + len(promoted)
+    n_promoted = len(promoted)
+    assert res.proposals[:n_promoted] == promoted
+    promoted_a = {p.feature_a for p in promoted}
     for p in res.proposals[n_promoted:]:
         assert p.feature_a not in promoted_a
 
@@ -252,7 +252,7 @@ def test_run_two_stage_is_its_composition(flip):
     direct = run_chimeric(ds_a2, ds_b2, cfg, settings)
     assert 0 < len(promoted) < 4  # both stages have pairs to match
     assert direct.proposals
-    assert res.promoted == promoted
+    assert res.proposals[:len(promoted)] == promoted
     assert res.proposals[len(promoted):] == direct.proposals
     for net in ("encoder_a", "decoder_a", "encoder_b", "decoder_b"):
         ours = getattr(res.model, net).parameters()
@@ -272,7 +272,6 @@ def test_run_method_at_extreme_mapped_counts(method, k):
     # k = 1 and k = p - 1: one mapped column, or one unmapped column a side
     ds_a, ds_b = correlated_pair(300, 6, k, seed=4)
     res = run_method(method, ds_a, ds_b, **_SMALL_CFGS)
-    assert res.method == method
     assert len(res.proposals) == 6 - k
     for p in res.proposals:
         assert p.feature_a in ds_a.unmapped_names
@@ -357,10 +356,101 @@ def test_run_chimeric_translation_direction(flip):
 
 def test_run_method_dispatch_and_unknown():
     ds_a, ds_b = correlated_pair(300, 5, 2, seed=10)
-    res = run_method("kmf", ds_a, ds_b)
-    assert res.method == "kmf"
+    assert run_method("kmf", ds_a, ds_b) == run_kmf(ds_a, ds_b)
     with pytest.raises(ValueError, match="unknown method"):
         run_method("oracle", ds_a, ds_b)
+
+
+# ---------------------------------------------------------------- invariances
+
+# Matching must not depend on B's units or offsets, nor on the order of B's
+# unmapped columns (Chen, Cheung & Yiu 1998: metamorphic relations). Either
+# change moves the computed statistics by a few units in the last place, so a
+# seed whose run sits within 1e-9 of a decision (a near-tie in similarity, a
+# p-value on a Benjamini-Yekutieli critical value, a value on a bin edge) is
+# skipped and counted instead of compared.
+INVARIANCE_SEEDS = range(20)
+MAX_SKIPPED = 2
+TIE_MARGIN = 1e-9
+
+
+def _invariance_pair(seed):
+    cov = make_covariance(CovarianceSpec(12, 6, seed=seed))
+    ds = sample(GeneratorSpec(family="gaussian", dim=12, n_samples=2000, seed=seed), cov)
+    ds_a, ds_b, _ = build_scenario(ds, "permutation", 4, seed=seed, perm_seed=seed + 100)
+    return ds_a, ds_b
+
+
+def _affine_b(ds_b, seed):
+    rng = np.random.default_rng([seed, 1])
+    scale = rng.uniform(0.5, 3.0, ds_b.n_features)
+    shift = rng.uniform(-5.0, 5.0, ds_b.n_features)
+    return replace(ds_b, values=ds_b.values * scale + shift)
+
+
+def _kmf_margin(ds_a, ds_b, res, settings=MatchSettings()):
+    """Distance of run_kmf's run from its nearest decision: the smallest gap
+    between two similarities in one row or column of the matched matrix, and
+    the smallest distance of a p-value from a BY critical value."""
+    tr_a, _ = split_rows(ds_a.n_rows, settings.holdout_fraction, settings.split_seed)
+    tr_b, _ = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
+    sim = kmf_similarity(fingerprints(ds_a.subset_rows(tr_a)),
+                         fingerprints(ds_b.subset_rows(tr_b))).values
+    gaps = [np.diff(np.sort(sim, axis=1), axis=1), np.diff(np.sort(sim, axis=0), axis=0)]
+    m = len(res.proposals)
+    critical = np.arange(1, m + 1) * settings.fdr_q / (m * np.sum(1.0 / np.arange(1, m + 1)))
+    pv = np.array([p.p_value for p in res.proposals])
+    return min(min(g.min() for g in gaps), np.abs(pv[:, None] - critical).min())
+
+
+def _bin_margin(values, bins=KangConfig().bins):
+    """Smallest distance of a value from a quantile bin edge, relative to its
+    column's range, over the columns binned by quantiles."""
+    margins = [np.inf]
+    for x in values.T:
+        if np.unique(x).size > 2:
+            edges = np.quantile(x, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+            margins.append(np.abs(x[:, None] - edges).min() / np.ptp(x))
+    return min(margins)
+
+
+def _reorder_b_unmapped(ds_b, seed):
+    k = ds_b.mapped_count
+    order = [*range(k), *(k + np.random.default_rng([seed, 2]).permutation(ds_b.n_features - k))]
+    return replace(ds_b, values=ds_b.values[:, order],
+                   features=tuple(ds_b.features[j] for j in order))
+
+
+def _pairs(res):
+    return [(p.feature_a, p.feature_b, p.accepted) for p in res.proposals]
+
+
+def _check_invariance(method, margin, transform, key=_pairs, **cfgs):
+    """run_method's key on every seed's pair equals its key after `transform`
+    of B, unless `margin` puts the run within TIE_MARGIN of a decision."""
+    skipped = 0
+    for seed in INVARIANCE_SEEDS:
+        ds_a, ds_b = _invariance_pair(seed)
+        res = run_method(method, ds_a, ds_b, **cfgs)
+        if margin(ds_a, ds_b, res) < TIE_MARGIN:
+            skipped += 1
+            continue
+        assert key(run_method(method, ds_a, transform(ds_b, seed), **cfgs)) == key(res)
+    assert skipped <= MAX_SKIPPED
+
+
+def test_kmf_is_invariant_to_positive_affine_maps_of_b():
+    _check_invariance("kmf", _kmf_margin, _affine_b)
+
+
+def test_kmf_is_invariant_to_the_order_of_b_unmapped_columns():
+    _check_invariance("kmf", _kmf_margin, _reorder_b_unmapped,
+                      key=lambda res: sorted(_pairs(res)))
+
+
+def test_kang_is_invariant_to_positive_affine_maps_of_b():
+    _check_invariance("kang", lambda ds_a, ds_b, res: _bin_margin(ds_b.values), _affine_b,
+                      kang_cfg=KangConfig(iterations=500, seed=3))
 
 
 # ---------------------------------------------------------------- replicates
@@ -398,6 +488,10 @@ def test_run_replicate_records_errors():
 def test_experiment_config_validation():
     with pytest.raises(ValueError, match="sweep"):
         ExperimentConfig(sweep="bins")
+    with pytest.raises(ValueError, match="unknown family 'gauss'"):
+        ExperimentConfig(family="gauss")
+    with pytest.raises(ValueError, match="unknown map_kind 'bijective'"):
+        ExperimentConfig(map_kind="bijective")
     with pytest.raises(ValueError, match="method"):
         ExperimentConfig(methods=("kmf", "psychic"))
     with pytest.raises(ValueError, match="sweep_values"):

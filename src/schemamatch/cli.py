@@ -93,6 +93,8 @@ def _load_pair(args):
 
 
 def _cmd_match(args) -> int:
+    if args.config:  # a config kmf cannot read is an error, not an ignored file
+        tune_config_class(args.method)
     ds_a, ds_b = _load_pair(args)
     settings = MatchSettings(fdr_q=args.fdr_q, split_seed=args.seed)
     # --config holds the chosen method's config; build only the one it reads

@@ -258,8 +258,8 @@ def _column_kind(values: list[object]) -> str:
 def impute_simple(table: RawTable) -> RawTable:
     """Fill missing cells: continuous columns by the mean, binary and categorical
     columns by the mode (ties broken toward numbers before strings, each in sorted
-    order). A fully missing column is an error. Returns a completed table; the
-    original is not modified."""
+    order). A fully missing column, or a continuous one whose mean overflows,
+    is an error. Returns a completed table; the original is not modified."""
     n = table.n_rows
     filled = [list(row) for row in table.cells]
     for j, col in enumerate(table.columns):
@@ -269,7 +269,11 @@ def impute_simple(table: RawTable) -> RawTable:
             raise ValueError(f"column {col!r} has no observed values")
         kind = _column_kind(vals)
         if kind == CONTINUOUS:
-            fill = float(np.mean([float(v) for v in observed]))
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
+                fill = float(np.mean([float(v) for v in observed]))
+            if not math.isfinite(fill):
+                raise ValueError(f"column {col!r}: the mean of its observed values "
+                                 "overflows the float64 range")
         else:
             counts: dict[object, int] = {}
             for v in observed:
@@ -317,19 +321,26 @@ def unit_norm(ds: Dataset) -> Dataset:
     """Scale each continuous column to unit Euclidean norm over rows.
 
     Binary columns (raw or one-hot members) are untouched. An all-zero
-    continuous column is left unchanged with a warning.
+    continuous column is left unchanged with a warning; a column whose norm
+    exceeds the float64 range is an error.
     """
     cont = [j for j, meta in enumerate(ds.features) if meta.kind == CONTINUOUS]
     scale = np.ones(ds.n_features)  # x / 1.0 == x for the columns left as they are
     # Columns are copied _NORM_BLOCK at a time into contiguous rows: each norm is
     # then the sqrt(col @ col) np.linalg.norm computes on its contiguous copy,
     # without a transposed copy of the whole table.
-    for start in range(0, len(cont), _NORM_BLOCK):
-        idx = cont[start:start + _NORM_BLOCK]
-        block = np.ascontiguousarray(ds.values[:, idx].T)
-        for j, col in zip(idx, block):
-            scale[j] = math.sqrt(col @ col)
+    with np.errstate(over="ignore"):  # an overflowing col @ col is redone below
+        for start in range(0, len(cont), _NORM_BLOCK):
+            idx = cont[start:start + _NORM_BLOCK]
+            block = np.ascontiguousarray(ds.values[:, idx].T)
+            for j, col in zip(idx, block):
+                scale[j] = math.sqrt(col @ col)
     for j in cont:
+        if not math.isfinite(scale[j]):  # the squares overflow; hypot scales them
+            scale[j] = math.hypot(*ds.values[:, j])
+            if not math.isfinite(scale[j]):
+                raise ValueError(f"column {ds.features[j].name!r}: its norm exceeds "
+                                 "the float64 range")
         if scale[j] == 0.0:
             warnings.warn(f"column {ds.features[j].name!r} is all zeros; left unchanged")
             scale[j] = 1.0
@@ -414,7 +425,12 @@ def read_mapped_sidecar(path) -> tuple[list[str], dict[str, float]]:
 
 def load_dataset(csv_path, mapped_path=None, name: str | None = None) -> Dataset:
     """Read a CSV, impute, one-hot encode, and apply the mapped sidecar if given."""
-    ds = one_hot_encode(impute_simple(read_table(csv_path, name=name)))
+    table = read_table(csv_path, name=name)
+    try:
+        table = impute_simple(table)
+    except ValueError as exc:  # name the file, as read_table's errors do
+        raise ValueError(f"{csv_path}: {exc}") from None
+    ds = one_hot_encode(table)
     if mapped_path is not None:
         names, weights = read_mapped_sidecar(mapped_path)
         ds = reorder_mapped_first(ds, names, weights or None)

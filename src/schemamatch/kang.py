@@ -11,8 +11,7 @@ import numpy as np
 
 from .stats import discretize, entropy_codes, mutual_information_pairs
 
-SCREEN_BLOCK = 64  # swap proposals scored per vectorized pass of the screen
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+SWAP_BLOCK = 64  # swap proposals scored per vectorized pass
 
 
 @dataclass(frozen=True)
@@ -109,52 +108,24 @@ def _objective(mi_a: np.ndarray, mi_b: np.ndarray, pi: np.ndarray,
     return float(np.sum(terms[np.triu_indices(len(pi), k=1)]))
 
 
-def _swap_gain(mi_a: np.ndarray, bp: np.ndarray, i: int, j: int,
-               cfg: KangConfig) -> float:
-    """Objective gain from swapping the B columns at positions i and j, where
-    bp = mi_b[np.ix_(pi, pi)] under the current pi. Only the pairs (i, k) and
-    (j, k) with k outside {i, j} change, so rows i and j of both symmetric
-    matrices give the gain in O(p) (Taillard 1991)."""
-    a_i, a_j, b_i, b_j = mi_a[i], mi_a[j], bp[i], bp[j]
-    if cfg.metric == "euclidean":
-        # the squares cancel: -2 * sum over k outside {i, j} of (a_ik - a_jk)(b_ik - b_jk)
-        da = a_i - a_j
-        db = b_i - b_j
-        return -2.0 * float(da @ db - da[i] * db[i] - da[j] * db[j])
-    # the two pairings the swap makes, then the two it breaks
-    e = np.exp(-np.square([a_i - b_j, a_j - b_i, a_i - b_i, a_j - b_j]) / cfg.alpha)
-    terms = e[0] + e[1] - e[2] - e[3]
-    terms[i] = terms[j] = 0.0
-    return float(terms.sum())
-
-
-def _screen(mi_a: np.ndarray, bp: np.ndarray, pos_i: np.ndarray, pos_j: np.ndarray,
-            cfg: KangConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Score a block of proposals (pos_i[t], pos_j[t]) against one bp at once.
-
-    Returns each gain as `_swap_gain` computes it but summed in another order,
-    and a margin of four times a bound on its distance from `_swap_gain`'s
-    float result. The two sums add the same float terms, so each is within
-    gamma_n * M of the exact sum (Higham 2002, section 3.1), where M sums the
-    magnitudes added: at most 4 * sum_k |da_k db_k| for a Euclidean gain (-2
-    times the full dot less two of its terms), and all four exps of every
-    normal-metric term. n = p + 16 also covers exps a few ulps apart.
-    """
-    rows = np.arange(len(pos_i))
+def _swap_gains(mi_a: np.ndarray, bp: np.ndarray, pos_i: np.ndarray, pos_j: np.ndarray,
+                cfg: KangConfig) -> np.ndarray:
+    """Objective gain of each proposal t, swapping the B columns at positions
+    pos_i[t] and pos_j[t], where bp = mi_b[np.ix_(pi, pi)] under the current pi.
+    Only the pairs (i, k) and (j, k) with k outside {i, j} change, so rows i and
+    j of both symmetric matrices give a gain in O(p) (Taillard 1991). Each gain
+    sums its own row, so it does not depend on the other proposals scored with it."""
     a_i, a_j, b_i, b_j = mi_a[pos_i], mi_a[pos_j], bp[pos_i], bp[pos_j]
     if cfg.metric == "euclidean":
-        terms = (a_i - a_j) * (b_i - b_j)
-        magnitude = 4.0 * np.abs(terms).sum(axis=1)
-        scale = -2.0
+        # the squares cancel: -2 * sum over k outside {i, j} of (a_ik - a_jk)(b_ik - b_jk)
+        terms = -2.0 * ((a_i - a_j) * (b_i - b_j))
     else:
+        # the two pairings the swap makes, then the two it breaks
         e = np.exp(-np.square([a_i - b_j, a_j - b_i, a_i - b_i, a_j - b_j]) / cfg.alpha)
-        magnitude = e.sum(axis=(0, 2))
         terms = e[0] + e[1] - e[2] - e[3]
-        scale = 1.0
+    rows = np.arange(len(pos_i))
     terms[rows, pos_i] = terms[rows, pos_j] = 0.0
-    n = mi_a.shape[0] + 16
-    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    return scale * terms.sum(axis=1), 4.0 * 2.0 * gamma * magnitude
+    return terms.sum(axis=1)
 
 
 def kang_match(
@@ -172,15 +143,14 @@ def kang_match(
     Runs max(1, iterations // 500) random restarts. Each starts from a random
     permutation of the free columns, then draws all `iterations` proposals at
     once: ordered pairs of distinct free positions, uniform over the m(m - 1)
-    choices. A proposal is scored by `_swap_gain` in O(p) from rows of a cached
-    mi_b[np.ix_(pi, pi)] and kept only if it raises the objective by more than
-    1e-15; the best restart wins. `_screen` scores SCREEN_BLOCK proposals at a
-    time, and only those its error margin cannot rule out go through
-    `_swap_gain`, in order, so the accepted swaps are those of a plain loop.
-    With fewer than two free positions nothing is drawn. Both matrices must be
-    symmetric (`mi_matrix` output is), since the gain and the objective read
-    one triangle. With unequal sizes the smaller side is padded with
-    knock-offs, which requires that side's data.
+    choices. Proposals are scored SWAP_BLOCK at a time by `_swap_gains`, from
+    rows of a cached mi_b[np.ix_(pi, pi)]; the first to raise the objective by
+    more than 1e-15 is made, and scoring resumes at the proposal after it, so
+    each proposal is scored against the assignment it would change. The best
+    restart wins. With fewer than two free positions nothing is drawn. Both
+    matrices must be symmetric (`mi_matrix` output is), since the gain and the
+    objective read one triangle. With unequal sizes the smaller side is padded
+    with knock-offs, which requires that side's data.
     """
     cfg = cfg or KangConfig()
     mi_a = np.asarray(mi_a, dtype=np.float64)
@@ -229,22 +199,18 @@ def kang_match(
             pos_i, pos_j = free_pos[first], free_pos[second]
             start = 0
             while start < cfg.iterations:
-                stop = start + SCREEN_BLOCK
-                value, margin = _screen(mi_a, bp, pos_i[start:stop], pos_j[start:stop], cfg)
-                # at or below 1e-15 - margin a proposal cannot pass _swap_gain's
-                # test; _swap_gain decides every other one, NaN included
-                survivors = start + np.flatnonzero(~(value <= 1e-15 - margin))
-                start = stop
-                for t in survivors.tolist():
+                stop = start + SWAP_BLOCK
+                gains = _swap_gains(mi_a, bp, pos_i[start:stop], pos_j[start:stop], cfg)
+                passed = np.flatnonzero(gains > 1e-15)  # NaN never passes
+                if passed.size:
+                    t = start + int(passed[0])
                     i, j = int(pos_i[t]), int(pos_j[t])
-                    gain = _swap_gain(mi_a, bp, i, j, cfg)
-                    if gain > 1e-15:
-                        obj += gain
-                        pi[i], pi[j] = pi[j], pi[i]
-                        bp[[i, j]] = bp[[j, i]]
-                        bp[:, [i, j]] = bp[:, [j, i]]
-                        start = t + 1  # bp changed: score again from the next proposal
-                        break
+                    obj += float(gains[passed[0]])
+                    pi[i], pi[j] = pi[j], pi[i]
+                    bp[[i, j]] = bp[[j, i]]
+                    bp[:, [i, j]] = bp[:, [j, i]]
+                    stop = t + 1  # bp changed: score again from the next proposal
+                start = stop
         if obj > best_obj:
             best_obj = obj
             best_pi = pi

@@ -9,6 +9,19 @@ import numpy as np
 from scipy.special import betainc
 
 
+_PEAK = 2.0 ** 200  # below it no sum of squares, nor a product of two, overflows
+
+
+def _bounded(x: np.ndarray, axis: int) -> np.ndarray:
+    """x, with each column (axis 0) or row (axis 1) whose largest magnitude
+    exceeds _PEAK scaled by a power of two to below 1. Such a scaling is exact
+    (short of subnormals), so no correlation changes, but no square overflows."""
+    if max(x.max(initial=0.0), -x.min(initial=0.0)) <= _PEAK:  # whole-array passes are cheap
+        return x
+    peak = np.maximum(x.max(axis=axis, keepdims=True), -x.min(axis=axis, keepdims=True))
+    return np.ldexp(x, np.where(peak > _PEAK, -np.frexp(peak)[1], 0))
+
+
 def pearson(x, y) -> float:
     """Sample Pearson correlation. Zero-variance input yields 0.0 (degenerate)."""
     x = np.asarray(x, dtype=np.float64)
@@ -25,8 +38,8 @@ def pearson_rows(x, y) -> np.ndarray:
     t; a zero-variance row yields 0.0 (degenerate). Each row is centred and
     dotted as one contiguous vector, so r does not depend on how many rows are
     scored together."""
-    xc = np.array(x, dtype=np.float64, order="C")
-    yc = np.array(y, dtype=np.float64, order="C")
+    xc = _bounded(np.array(x, dtype=np.float64, order="C"), 1)
+    yc = _bounded(np.array(y, dtype=np.float64, order="C"), 1)
     xc -= xc.mean(axis=1, keepdims=True)
     yc -= yc.mean(axis=1, keepdims=True)
     sxx = np.array([u @ u for u in xc])
@@ -258,4 +271,5 @@ def pearson_matrix(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise ValueError("row counts differ")
     if x.shape[0] < 3:
         raise ValueError("need at least 3 rows")
+    x, z = _bounded(x, 0), _bounded(z, 0)
     return cosine_matrix(x - x.mean(axis=0), z - z.mean(axis=0))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +12,7 @@ from schemamatch.chimeric import load_model
 from schemamatch.cli import main
 from schemamatch.core import ScenarioSpec
 from schemamatch.matcher import _COLUMNS, proposals_from_csv
+from helpers import csv_and_sidecar
 
 
 def _synth(tmp_path, seed=3):
@@ -66,6 +68,16 @@ def test_match_reads_method_config(tmp_path, method, config):
                "--config", str(cfg_path), "--out", str(props_path)])
     assert rc == 0
     assert proposals_from_csv(props_path)
+
+
+def test_match_rejects_a_kmf_config(tmp_path, caplog):
+    d = _synth(tmp_path, seed=6)
+    out = tmp_path / "p.csv"
+    rc = main(["match", *_pair_args(d), "--method", "kmf",
+               "--config", str(tmp_path / "absent.json"), "--out", str(out)])
+    assert rc == 1
+    assert _one_error(caplog) == "kmf reads no config; there is nothing to tune"
+    assert not out.exists()
 
 
 def test_match_rejects_mistyped_config_value(tmp_path, caplog):
@@ -387,3 +399,52 @@ def test_bench_out_of_range_sweep_value_leaves_no_directory(tmp_path, caplog):
     assert rc == 1
     assert "k_mapped" in _one_error(caplog)
     assert not out_dir.exists()
+
+
+_CELL = st.one_of(*[st.floats(-1e3, 1e3).map(repr)] * 12,
+                  st.sampled_from(["0", "1", "", "NA", "1e308", "-1e308", "3e200"]))
+
+
+@st.composite
+def _numeric_files(draw, k):
+    """A numeric CSV of 6 to 16 rows whose first k columns its sidecar maps."""
+    names = [f"m{i}" for i in range(k)] + [f"u{i}" for i in range(draw(st.integers(1, 3)))]
+    rows = draw(st.lists(st.lists(_CELL, min_size=len(names), max_size=len(names)),
+                         min_size=6, max_size=16))
+    csv_text = "\n".join(",".join(r) for r in [names] + rows) + "\n"
+    return csv_text, "".join(f"{n}\n" for n in names[:k])
+
+
+@st.composite
+def _data_pair(draw):
+    """CSV and sidecar texts for A and B: a quarter of the time two loading
+    fuzz cases, otherwise numeric tables with k mapped columns on both sides."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(csv_and_sidecar()), draw(csv_and_sidecar())
+    k = draw(st.integers(1, 3))
+    return draw(_numeric_files(k)), draw(_numeric_files(k))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pair=_data_pair(), method=st.sampled_from(["kmf", "kang"]), normalize=st.booleans())
+def test_match_fuzzed_data_exits_cleanly(tmp_path, caplog, pair, method, normalize):
+    """match on any small CSV and sidecar pair exits 0 and writes its proposals,
+    or exits 1 with one log record; a numeric warning is never that record."""
+    for side, (csv_text, sidecar) in zip("ab", pair):
+        (tmp_path / f"{side}.csv").write_text(csv_text)
+        (tmp_path / f"{side}.mapped").write_text(sidecar)
+    out = tmp_path / "proposals.csv"
+    out.unlink(missing_ok=True)
+    caplog.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # single-level and all-zero columns
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["match", *_pair_args(tmp_path), "--method", method, "--out", str(out)]
+                  + ["--normalize"] * normalize)
+    if rc == 0:
+        proposals_from_csv(out)
+    else:
+        assert rc == 1 and not out.exists()
+        assert len(caplog.records) == 1
+        assert "encountered" not in _one_error(caplog)

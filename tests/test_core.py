@@ -36,7 +36,7 @@ from schemamatch.kang import KangConfig
 from schemamatch.kmf import PromotionPolicy
 from schemamatch.pipeline import ExperimentConfig, MatchSettings
 from schemamatch.synthgen import build_scenario
-from helpers import make_dataset
+from helpers import csv_and_sidecar, make_dataset
 
 
 # ---------------------------------------------------------------- metadata
@@ -147,6 +147,16 @@ def test_impute_simple_mean_and_mode():
     assert impute_simple(mixed).cells[2][0] == 1.0
 
 
+def test_load_dataset_names_the_column_whose_mean_overflows(tmp_path):
+    p = _write(tmp_path / "t.csv", "x,y\n1,1e308\n2,1e308\n3,\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            load_dataset(p)
+    assert str(err.value) == (f"{p}: column 'y': the mean of its observed values "
+                              "overflows the float64 range")
+
+
 def test_impute_simple_all_missing_column():
     t = RawTable(name="t", columns=["x"], cells=[[None], [None]])
     with pytest.raises(ValueError):
@@ -206,6 +216,19 @@ def test_unit_norm_zero_column_warns():
     with pytest.warns(UserWarning):
         out = unit_norm(ds)
     assert out.column("c0").tolist() == [0.0, 0.0, 0.0]
+
+
+def test_unit_norm_rescales_an_overflowing_norm():
+    # col @ col overflows, but the norm itself is finite
+    ds = make_dataset(np.array([[1e200, 3.0], [2e200, 4.0], [3e200, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = unit_norm(ds)
+    assert out.column("c0") == pytest.approx(np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0),
+                                             rel=1e-15)
+    assert out.column("c1").tolist() == [0.6, 0.8, 0.0]
+    with pytest.raises(ValueError, match="column 'c0': its norm exceeds the float64 range"):
+        unit_norm(make_dataset(np.full((4, 1), 1e308)))
 
 
 def _reference_unit_norm(ds):
@@ -320,47 +343,8 @@ def test_load_dataset_rejects_bad_sidecar_weight(tmp_path, weight):
 
 # ---------------------------------------------------------------- fuzzed loading
 
-_NAMES = ["x", "y", "c", "c=a"]  # "c=a" collides with a one-hot member of c
-_NUMBER = st.integers(-3, 3).map(str) | st.floats(-1e6, 1e6).map(repr)
-_TEXT = st.text("ab", min_size=1, max_size=2)
-_MISSING = st.sampled_from(["", " ", "NA", "nan", "NULL", "None"])
-_WEIGHT = st.sampled_from(["", "0", "0.5", "2", "-1", "nan", "inf", "-inf", "abc"])
-
-
-@st.composite
-def _csv_and_sidecar(draw):
-    """CSV text and sidecar text. Each column holds numbers, strings or both,
-    with missing cells; now and then a column or mapped name repeats or a cell
-    is not finite. Mapped names mostly come from the header."""
-    header = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
-    if draw(st.integers(0, 9)) == 7:
-        header.append(header[0])
-    n_rows = draw(st.integers(0, 6))
-    columns = []
-    for _ in header:
-        kind = draw(st.sampled_from([_NUMBER, _TEXT, _NUMBER | _TEXT]))
-        columns.append(draw(st.lists(st.one_of(kind, kind, kind, _MISSING),
-                                     min_size=n_rows, max_size=n_rows)))
-    rows = [list(r) for r in zip(*columns)]
-    if rows and draw(st.integers(0, 4)) == 3:  # one non-finite or overflowing number
-        row = draw(st.sampled_from(rows))
-        row[draw(st.integers(0, len(header) - 1))] = draw(
-            st.sampled_from(["inf", "-inf", "Infinity", "1e400", "1e308"]))
-    csv_text = "\n".join(",".join(r) for r in [header] + rows) + "\n"
-    known = st.sampled_from(header)
-    mapped = draw(st.lists(st.one_of(known, known, known, st.sampled_from(["q", "c=b"])),
-                           min_size=1, max_size=3, unique=True))
-    if draw(st.integers(0, 9)) == 7:
-        mapped.append(mapped[0])
-    weights = draw(st.lists(st.none() | _WEIGHT, min_size=len(mapped),
-                            max_size=len(mapped)))
-    sidecar = "".join(n + ("" if w is None else f",{w}") + "\n"
-                      for n, w in zip(mapped, weights))
-    return csv_text, sidecar
-
-
 @settings(max_examples=150, deadline=None, database=None)
-@given(_csv_and_sidecar())
+@given(csv_and_sidecar())
 @example(("m0,u0\n1,2\n3,5\n4,4\n", "m0,nan\n"))
 @example(("m0,u0\n1,2\n3,5\n4,4\n", "m0,inf\n"))
 def test_load_dataset_fuzz(files):
@@ -372,7 +356,8 @@ def test_load_dataset_fuzz(files):
         side_path = _write(Path(tmp) / "t.mapped", sidecar)
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # single-level columns, overflow
+                warnings.simplefilter("ignore", UserWarning)  # single-level columns
+                warnings.simplefilter("error", RuntimeWarning)  # a numeric warning fails
                 ds = load_dataset(csv_path, side_path)
         except (ValueError, KeyError):
             return

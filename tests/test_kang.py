@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from schemamatch import kang
 from schemamatch.kang import KangConfig, _knockoff_pad, kang_match, mi_matrix
 from schemamatch.stats import entropy, mutual_information
-from helpers import reference_mi_matrix
+from helpers import reference_mi_matrix, reference_swap_gain
 
 
 def _factor_data(n, p, seed, noise=0.2):
@@ -179,7 +179,7 @@ def test_swap_gain_is_the_objective_difference(p, seed, metric):
     i, j = rng.choice(p, size=2, replace=False)
     after = pi.copy()
     after[i], after[j] = pi[j], pi[i]
-    gain = kang._swap_gain(mi_a, mi_b[np.ix_(pi, pi)], i, j, cfg)
+    gain = kang._swap_gains(mi_a, mi_b[np.ix_(pi, pi)], np.array([i]), np.array([j]), cfg)[0]
     expected = kang._objective(mi_a, mi_b, after, cfg) - kang._objective(mi_a, mi_b, pi, cfg)
     assert gain == pytest.approx(expected, abs=1e-12)
 
@@ -266,10 +266,11 @@ def test_knockoff_pad_reuses_real_block(side, monkeypatch):
 
 
 
-# ---------------------------------------------------------------- screened search
+# ---------------------------------------------------------------- block search
 
 def _plain_kang_match(mi_a, mi_b, known_pairs, cfg, data_a=None, data_b=None):
-    """kang_match with the plain swap loop: every proposal through _swap_gain."""
+    """kang_match as first written: a plain swap loop, every proposal scored
+    alone by reference_swap_gain."""
     mi_a = np.asarray(mi_a, dtype=np.float64)
     mi_b = np.asarray(mi_b, dtype=np.float64)
     n_real_a, n_real_b = mi_a.shape[0], mi_b.shape[0]
@@ -294,7 +295,7 @@ def _plain_kang_match(mi_a, mi_b, known_pairs, cfg, data_a=None, data_b=None):
             second += second >= first
             bp = mi_b[np.ix_(pi, pi)]
             for i, j in zip(free_pos[first].tolist(), free_pos[second].tolist()):
-                gain = kang._swap_gain(mi_a, bp, i, j, cfg)
+                gain = reference_swap_gain(mi_a, bp, i, j, cfg)
                 if gain > 1e-15:
                     obj += gain
                     pi[i], pi[j] = pi[j], pi[i]
@@ -311,7 +312,7 @@ def _duplicated_rows(m, copies=2):
     return np.repeat(np.repeat(m, copies, axis=0), copies, axis=1)
 
 
-def _screen_cases():
+def _search_cases():
     big_a = mi_matrix(_factor_data(800, 14, seed=30))
     perm = np.random.default_rng(31).permutation(14)
     big_b = mi_matrix(_factor_data(800, 14, seed=30)[:, perm])
@@ -330,16 +331,18 @@ def _screen_cases():
 
 
 def test_kang_match_equals_plain_loop():
-    for mi_a, mi_b, known, cfg, data in _screen_cases():
+    for mi_a, mi_b, known, cfg, data in _search_cases():
         res = kang_match(mi_a, mi_b, known, cfg, **data)
         pi, scores = _plain_kang_match(mi_a, mi_b, known, cfg, **data)
         assert np.array_equal(res.assignment, pi)
         assert np.array_equal(res.pair_scores, scores)
 
 
-def test_screen_margin_bounds_swap_gain():
-    # every proposal's screened value is within a quarter of its margin of
-    # _swap_gain's float result, on 100,000 proposals per metric
+def test_block_gains_are_exact():
+    # on 100,000 proposals per metric, in blocks of 1 to 129, each gain of a
+    # block equals the same proposal scored alone, and each normal-metric gain
+    # equals the reference bit for bit (a Euclidean one may not: the reference
+    # sums through a BLAS dot, in another order)
     rng = np.random.default_rng(35)
     for metric in ("euclidean", "normal"):
         checked = 0
@@ -353,9 +356,15 @@ def test_screen_margin_bounds_swap_gain():
                 mi_b = _duplicated_rows(mi_b[:q, :q])[:p, :p]
             cfg = KangConfig(metric=metric, alpha=float(rng.uniform(0.1, 3.0)))
             bp = mi_b[np.ix_(*[rng.permutation(p)] * 2)]
-            pos_i = rng.integers(0, p, size=kang.SCREEN_BLOCK)
-            pos_j = (pos_i + rng.integers(1, p, size=kang.SCREEN_BLOCK)) % p
-            value, margin = kang._screen(mi_a, bp, pos_i, pos_j, cfg)
-            gains = [kang._swap_gain(mi_a, bp, i, j, cfg) for i, j in zip(pos_i, pos_j)]
-            assert np.all(np.abs(value - gains) <= margin / 4)
-            checked += kang.SCREEN_BLOCK
+            size = int(rng.integers(1, 2 * kang.SWAP_BLOCK + 2))
+            pos_i = rng.integers(0, p, size=size)
+            pos_j = (pos_i + rng.integers(1, p, size=size)) % p
+            gains = kang._swap_gains(mi_a, bp, pos_i, pos_j, cfg)
+            alone = [kang._swap_gains(mi_a, bp, pos_i[t:t + 1], pos_j[t:t + 1], cfg)[0]
+                     for t in range(size)]
+            assert np.array_equal(gains, alone)
+            if metric == "normal":
+                reference = [reference_swap_gain(mi_a, bp, i, j, cfg)
+                             for i, j in zip(pos_i, pos_j)]
+                assert np.array_equal(gains, reference)
+            checked += size

@@ -28,6 +28,7 @@ from schemamatch.stats import (
     pearson,
     pearson_matrix,
     pearson_pvalue,
+    pearson_rows,
     wilcoxon_ranksum,
 )
 
@@ -497,6 +498,23 @@ def test_cosine_matrix_direct_formula_and_zero_columns():
             u, v = x[:, i], z[:, j]
             direct = math.fsum(u * v) / math.sqrt(math.fsum(u * u) * math.fsum(v * v))
             assert values[i, j] == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("power", [520, 1000])
+def test_pearson_ignores_a_huge_power_of_two_scale(power):
+    # scaled by 2**power, a column's squares overflow; its correlations keep their bits
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((30, 3))
+    z = rng.standard_normal((30, 2))
+    big_x, big_z = x.copy(), z.copy()
+    big_x[:, 1] *= 2.0 ** power
+    big_z[:, 0] *= 2.0 ** power
+    with np.errstate(over="raise", invalid="raise"):
+        corr, degen = pearson_matrix(big_x, big_z)
+        rows = pearson_rows(big_x.T, big_z.T[[0, 1, 0]])
+    assert np.array_equal(corr, pearson_matrix(x, z)[0])
+    assert not degen.any()
+    assert np.array_equal(rows, pearson_rows(x.T, z.T[[0, 1, 0]]))
 
 
 def test_pearson_matrix_needs_rows():

@@ -18,7 +18,6 @@ from .core import (
 )
 from .chimeric import ChimericConfig, ChimericModel, TrainingDiverged
 from .kang import KangConfig
-from .kmf import PromotionPolicy
 from .matcher import MatchProposal, gale_shapley, holdout_filter
 from .pipeline import (
     ExperimentConfig,
@@ -49,7 +48,6 @@ __all__ = [
     "KangConfig",
     "MatchProposal",
     "MatchSettings",
-    "PromotionPolicy",
     "ScenarioSpec",
     "SimilarityMatrix",
     "TrainingDiverged",

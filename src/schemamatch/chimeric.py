@@ -14,7 +14,8 @@ import numpy as np
 
 from .core import Dataset, from_dict
 from .neural import ACTIVATIONS, Adam, Mlp, PlateauScheduler, load_mlp_arrays, mlp_arrays
-from .stats import SimilarityMatrix, discretize, mutual_information_pairs, pearson_matrix
+from .stats import (SimilarityMatrix, discretize, mutual_information_pairs, peak_exponents,
+                    pearson_matrix)
 
 MEASURES = ("pearson", "mutual_information")
 TRANSLATION_DIRECTIONS = ("a_to_b", "b_to_a")
@@ -69,8 +70,13 @@ class ColumnScaler:
 
     @staticmethod
     def fit(values: np.ndarray) -> "ColumnScaler":
-        mean = values.mean(axis=0)
-        std = values.std(axis=0)
+        e = peak_exponents(values, 0)
+        if e is None:
+            mean, std = values.mean(axis=0), values.std(axis=0)
+        else:  # columns whose squares overflow are fitted at a power-of-two scale
+            scaled = np.ldexp(values, e)
+            mean = np.ldexp(scaled.mean(axis=0), -e[0])
+            std = np.ldexp(scaled.std(axis=0), -e[0])
         return ColumnScaler(mean=mean, std=np.where(std == 0.0, 1.0, std))
 
     def transform(self, values: np.ndarray) -> np.ndarray:

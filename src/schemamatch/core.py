@@ -11,6 +11,8 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .stats import peak_exponents
+
 CONTINUOUS = "continuous"
 BINARY = "binary"
 
@@ -258,8 +260,8 @@ def _column_kind(values: list[object]) -> str:
 def impute_simple(table: RawTable) -> RawTable:
     """Fill missing cells: continuous columns by the mean, binary and categorical
     columns by the mode (ties broken toward numbers before strings, each in sorted
-    order). A fully missing column, or a continuous one whose mean overflows,
-    is an error. Returns a completed table; the original is not modified."""
+    order). A fully missing column is an error. Returns a completed table; the
+    original is not modified."""
     n = table.n_rows
     filled = [list(row) for row in table.cells]
     for j, col in enumerate(table.columns):
@@ -269,11 +271,10 @@ def impute_simple(table: RawTable) -> RawTable:
             raise ValueError(f"column {col!r} has no observed values")
         kind = _column_kind(vals)
         if kind == CONTINUOUS:
-            with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
-                fill = float(np.mean([float(v) for v in observed]))
-            if not math.isfinite(fill):
-                raise ValueError(f"column {col!r}: the mean of its observed values "
-                                 "overflows the float64 range")
+            # a mean lies in [min, max]; a power-of-two scale keeps its sum finite
+            x = np.array(observed)
+            e = peak_exponents(x, 0)
+            fill = float(np.mean(x) if e is None else np.ldexp(np.mean(np.ldexp(x, e)), -e[0]))
         else:
             counts: dict[object, int] = {}
             for v in observed:

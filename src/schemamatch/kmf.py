@@ -4,8 +4,6 @@ cosine similarity, and promote confident matches into the mapped prefix."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .core import Dataset, reorder_mapped_first
@@ -45,44 +43,20 @@ def fingerprint_translation(mapped_values: np.ndarray, fp: SimilarityMatrix) -> 
     return mapped_values @ fp.values.T
 
 
-@dataclass(frozen=True)
-class PromotionPolicy:
-    """Which accepted proposals become new mapped pairs: similarity at or above
-    a threshold, or the top fraction of the pool by similarity."""
-
-    kind: str = "threshold"  # "threshold" | "top_fraction"
-    value: float = 0.5
-    require_accepted: bool = True
-
-    def __post_init__(self):
-        if self.kind not in ("threshold", "top_fraction"):
-            raise ValueError(f"unknown promotion kind {self.kind!r}")
-        if self.kind == "top_fraction" and not 0.0 <= self.value <= 1.0:
-            raise ValueError("top_fraction value must be in [0, 1]")
-
-
-def select_for_promotion(
-    proposals: list[MatchProposal], policy: PromotionPolicy
-) -> list[MatchProposal]:
-    pool = [p for p in proposals if p.accepted] if policy.require_accepted else list(proposals)
-    if policy.kind == "threshold":
-        return [p for p in pool if p.similarity >= policy.value]
-    pool = sorted(pool, key=lambda p: -p.similarity)
-    count = int(np.floor(policy.value * len(pool) + 1e-9))
-    return pool[:count]
+#: accepted proposals with similarity at or above this join the mapped set
+PROMOTE_AT = 0.5
 
 
 def promote_matches(
     ds_a: Dataset,
     ds_b: Dataset,
     proposals: list[MatchProposal],
-    policy: PromotionPolicy | None = None,
 ) -> tuple[Dataset, Dataset, list[MatchProposal]]:
-    """Append policy-selected pairs to both mapped prefixes, preserving pairing
-    order, and return the reordered datasets plus the promoted proposals.
-    Selecting an already-mapped feature is an error."""
-    policy = policy or PromotionPolicy()
-    chosen = select_for_promotion(proposals, policy)
+    """Append the accepted pairs with similarity at least PROMOTE_AT to both
+    mapped prefixes, preserving pairing order, and return the reordered
+    datasets plus the promoted proposals. Promoting an already-mapped feature
+    is an error."""
+    chosen = [p for p in proposals if p.accepted and p.similarity >= PROMOTE_AT]
     mapped_a = ds_a.mapped_names
     mapped_b = ds_b.mapped_names
     for p in chosen:
@@ -92,9 +66,8 @@ def promote_matches(
             raise ValueError(f"{p.feature_b!r} is already mapped in {ds_b.name!r}")
     new_a = mapped_a + [p.feature_a for p in chosen]
     new_b = mapped_b + [p.feature_b for p in chosen]
-    promoted = [replace(p, accepted=True) for p in chosen]
     return (
         reorder_mapped_first(ds_a, new_a),
         reorder_mapped_first(ds_b, new_b),
-        promoted,
+        chosen,
     )

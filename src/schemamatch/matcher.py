@@ -11,17 +11,14 @@ import numpy as np
 
 from .stats import SimilarityMatrix, by_stepdown, pearson_pvalues, pearson_rows
 
-DIRECTIONS = ("auto", "rows_apply", "cols_apply")
-
 
 @dataclass(frozen=True)
 class MatchProposal:
     """One proposed feature pair: `feature_a` is database A's feature and
-    `feature_b` database B's. gale_shapley puts the similarity matrix's row
-    feature in `feature_a`, so a caller that matches B's rows against A's
-    columns (the chimeric stage under flip_translation) swaps each pair back.
-    rank_of_choice is 1-based from the applicant's preference list; the
-    default 0 marks a proposal that did not come from one."""
+    `feature_b` database B's; gale_shapley puts the similarity matrix's row
+    feature in `feature_a`. rank_of_choice is 1-based from the applicant's
+    preference list; the default 0 marks a proposal that did not come from
+    one."""
 
     feature_a: str
     feature_b: str
@@ -71,20 +68,17 @@ def _stable_match(keys: np.ndarray) -> dict[int, tuple[int, int]]:
     return {i: (j, next_choice[i]) for j, i in held.items()}  # next_choice counts the match
 
 
-def gale_shapley(sim: SimilarityMatrix, direction: str = "auto") -> list[MatchProposal]:
+def gale_shapley(sim: SimilarityMatrix) -> list[MatchProposal]:
     """Stable one-to-one matching over a similarity matrix. Degenerate entries
-    rank last on both sides.
+    rank last on both sides. The smaller side applies (ties: rows apply).
 
-    direction: "auto" lets the smaller side apply (ties: rows apply),
-    "rows_apply" or "cols_apply" force it. Output is ordered by row-feature
-    index; unmatched features are omitted. Proposals come back unaccepted;
-    run holdout_filter (or mark explicitly) before treating them as matches.
+    Output is ordered by row-feature index; unmatched features are omitted.
+    Proposals come back unaccepted; run holdout_filter (or mark explicitly)
+    before treating them as matches.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
     keys = np.where(sim.degenerate, -np.inf, sim.values)
     n_rows, n_cols = keys.shape
-    if direction == "rows_apply" or (direction == "auto" and n_rows <= n_cols):
+    if n_rows <= n_cols:
         matched = _stable_match(keys)
     else:
         matched = {i: (j, rank) for j, (i, rank) in _stable_match(keys.T).items()}

@@ -4,6 +4,7 @@ hyperparameter tuning on the mapped set, and the replicated benchmark driver."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -14,39 +15,27 @@ import numpy as np
 from . import chimeric as chimeric_mod
 from . import kang as kang_mod
 from .core import MAP_KINDS, Dataset, ScenarioSpec, reorder_mapped_first, unit_norm
-from .kmf import (
-    PromotionPolicy,
-    fingerprint_translation,
-    fingerprints,
-    kmf_similarity,
-    promote_matches,
-)
-from .matcher import DIRECTIONS, MatchProposal, gale_shapley, holdout_filter
+from .kmf import fingerprint_translation, fingerprints, kmf_similarity, promote_matches
+from .matcher import MatchProposal, gale_shapley, holdout_filter
 from .stats import wilcoxon_ranksum
 from .synthgen import (FAMILIES, CovarianceSpec, GeneratorSpec, build_scenario,
                        make_covariance, sample)
 
 METHODS = ("kmf", "chimeric", "kmf_then_chimeric", "kang")
 PROTOCOLS = ("leave_one_out", "half_split")
+#: share of each database's rows held out to score proposals
+HOLDOUT_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
 class MatchSettings:
     fdr_q: float = 0.05
-    holdout_fraction: float = 0.25
     split_seed: int = 0
-    direction: str = "auto"
-    flip_translation: bool = False  # score (x_B, z_A) instead of (x_A, z_B)
     measure: str = "pearson"
-    promotion: PromotionPolicy = field(default_factory=PromotionPolicy)
 
     def __post_init__(self):
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in (0, 1)")
         if not 0.0 < self.fdr_q < 1.0:
             raise ValueError("fdr_q must be in (0, 1)")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
         if self.measure not in chimeric_mod.MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
 
@@ -87,11 +76,11 @@ def run_kmf(ds_a: Dataset, ds_b: Dataset, settings: MatchSettings | None = None)
         raise ValueError("KMF needs at least one mapped feature")
     if not ds_a.unmapped_names or not ds_b.unmapped_names:
         return MethodResult([])
-    tr_a, ho_a = split_rows(ds_a.n_rows, settings.holdout_fraction, settings.split_seed)
-    tr_b, _ = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
+    tr_a, ho_a = split_rows(ds_a.n_rows, HOLDOUT_FRACTION, settings.split_seed)
+    tr_b, _ = split_rows(ds_b.n_rows, HOLDOUT_FRACTION, settings.split_seed + 1)
     fp_a, fp_b = fingerprints(ds_a.subset_rows(tr_a)), fingerprints(ds_b.subset_rows(tr_b))
     sim = kmf_similarity(fp_a, fp_b)
-    proposals = gale_shapley(sim, direction=settings.direction)
+    proposals = gale_shapley(sim)
     a_hold = ds_a.values[ho_a]
     translated = fingerprint_translation(a_hold[:, : ds_a.mapped_count], fp_b)
     proposals = holdout_filter(
@@ -109,36 +98,27 @@ def run_chimeric(
 ) -> MethodResult:
     """Train the paired autoencoders on both training splits, match the
     unmapped blocks on translated correlations, and filter on hold-out rows.
-    The source side's columns are scored against the translation of its rows:
-    A against A->B, or B against B->A with flip_translation, whose pairs are
-    swapped back so feature_a names A's feature. The trained model is returned
-    also when a side has no unmapped feature and nothing is proposed."""
+    A's columns are scored against the A->B translation of A's rows; to score
+    B against B->A, swap the arguments. The trained model is returned also
+    when a side has no unmapped feature and nothing is proposed."""
     cfg = cfg or chimeric_mod.ChimericConfig()
     settings = settings or MatchSettings()
-    tr_a, ho_a = split_rows(ds_a.n_rows, settings.holdout_fraction, settings.split_seed)
-    tr_b, ho_b = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
-    a_train, b_train = ds_a.subset_rows(tr_a), ds_b.subset_rows(tr_b)
-    model = chimeric_mod.train(a_train, b_train, cfg)
+    tr_a, ho_a = split_rows(ds_a.n_rows, HOLDOUT_FRACTION, settings.split_seed)
+    tr_b, _ = split_rows(ds_b.n_rows, HOLDOUT_FRACTION, settings.split_seed + 1)
+    a_train = ds_a.subset_rows(tr_a)
+    model = chimeric_mod.train(a_train, ds_b.subset_rows(tr_b), cfg)
     if not ds_a.unmapped_names or not ds_b.unmapped_names:
         return MethodResult([], model)
-    flip = settings.flip_translation
-    src, src_train, ho_src, dst = ((ds_b, b_train, ho_b, ds_a) if flip
-                                   else (ds_a, a_train, ho_a, ds_b))
-    direction = "b_to_a" if flip else "a_to_b"
-    z_train = chimeric_mod.translate(model, src_train.values, direction)
+    z_train = chimeric_mod.translate(model, a_train.values, "a_to_b")
     sim_full = chimeric_mod.chimeric_dependence(
-        src_train, z_train, dst.feature_names, measure=settings.measure
+        a_train, z_train, ds_b.feature_names, measure=settings.measure
     )
-    sub = sim_full.submatrix(src.unmapped_names, dst.unmapped_names)
-    raw = gale_shapley(sub, direction=settings.direction)
-    x_hold = src.values[ho_src]
-    z_hold = chimeric_mod.translate(model, x_hold, direction)
+    raw = gale_shapley(sim_full.submatrix(ds_a.unmapped_names, ds_b.unmapped_names))
+    a_hold = ds_a.values[ho_a]
+    z_hold = chimeric_mod.translate(model, a_hold, "a_to_b")
     proposals = holdout_filter(
-        raw, x_hold, src.feature_names, z_hold, dst.feature_names, q=settings.fdr_q,
+        raw, a_hold, ds_a.feature_names, z_hold, ds_b.feature_names, q=settings.fdr_q,
     )
-    if flip:
-        proposals = [replace(p, feature_a=p.feature_b, feature_b=p.feature_a)
-                     for p in proposals]
     return MethodResult(proposals, model)
 
 
@@ -154,7 +134,7 @@ def run_two_stage(
     is trained when promotion leaves a side with no unmapped feature."""
     settings = settings or MatchSettings()
     stage_one = run_kmf(ds_a, ds_b, settings).proposals
-    ds_a2, ds_b2, promoted = promote_matches(ds_a, ds_b, stage_one, settings.promotion)
+    ds_a2, ds_b2, promoted = promote_matches(ds_a, ds_b, stage_one)
     if not ds_a2.unmapped_names or not ds_b2.unmapped_names:
         return MethodResult(promoted)
     stage_two = run_chimeric(ds_a2, ds_b2, cfg, settings)
@@ -474,14 +454,20 @@ def iter_replicates(cfg: ExperimentConfig):
                 yield value, trial, perm, results
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def run_benchmark(cfg: ExperimentConfig, out_dir) -> dict[str, str]:
     """Run the full replicated sweep and write results.csv, summary.csv,
     wilcoxon.csv, and manifest.json. Output is byte-stable for a fixed config.
     `out_dir` is made only after the last replicate, so a failed run leaves
     nothing behind."""
     rows = []
-    f1s: dict[tuple, list[float]] = {}  # (value, method) -> F1s, in row order
-    pooled: dict[str, list[float]] = {m: [] for m in cfg.methods}
+    scored = []  # (value, method, F1 as written), in row order
     for value, trial, perm, results in iter_replicates(cfg):
         for method in cfg.methods:
             _, rep, err = results[method]
@@ -490,54 +476,37 @@ def run_benchmark(cfg: ExperimentConfig, out_dir) -> dict[str, str]:
                 continue
             f1 = f"{rep.f1:.6f}"
             rows.append([cfg.sweep, value, trial, perm, method, rep.tp, rep.fp, rep.fn, f1, err])
-            f1s.setdefault((value, method), []).append(float(f1))
-            pooled[method].append(float(f1))
+            scored.append((value, method, float(f1)))
+
+    summary = []
+    for value in cfg.sweep_values:
+        for method in cfg.methods:
+            vals = [f for v, m, f in scored if v == value and m == method]
+            if not vals:
+                summary.append([value, method, 0, "", ""])
+                continue
+            sd = f"{float(np.std(vals, ddof=1)):.6f}" if len(vals) > 1 else ""
+            summary.append([value, method, len(vals), f"{float(np.mean(vals)):.6f}", sd])
+
+    pooled = {method: np.array([f for _, m, f in scored if m == method])
+              for method in cfg.methods}
+    wilcoxon = []
+    for a, b in itertools.combinations(cfg.methods, 2):
+        test = ["", ""]
+        if pooled[a].size and pooled[b].size:
+            u, p = wilcoxon_ranksum(pooled[a], pooled[b])
+            test = [f"{u:.6f}", f"{p:.6g}"]
+        wilcoxon.append([a, b, pooled[a].size, pooled[b].size, *test])
 
     os.makedirs(out_dir, exist_ok=True)
-    results_path = os.path.join(out_dir, "results.csv")
-    with open(results_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep", "value", "trial", "perm", "method",
-                         "tp", "fp", "fn", "f1", "error"])
-        writer.writerows(rows)
-
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "method", "n", "mean_f1", "sd_f1"])
-        for value in cfg.sweep_values:
-            for method in cfg.methods:
-                vals = f1s.get((value, method), [])
-                if not vals:
-                    writer.writerow([value, method, 0, "", ""])
-                    continue
-                mean = float(np.mean(vals))
-                sd = f"{float(np.std(vals, ddof=1)):.6f}" if len(vals) > 1 else ""
-                writer.writerow([value, method, len(vals), f"{mean:.6f}", sd])
-
-    wilcoxon_path = os.path.join(out_dir, "wilcoxon.csv")
-    with open(wilcoxon_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method_a", "method_b", "n_a", "n_b", "u", "p"])
-        ms = list(cfg.methods)
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                a, b = pooled[ms[i]], pooled[ms[j]]
-                if a and b:
-                    u, p = wilcoxon_ranksum(np.array(a), np.array(b))
-                    writer.writerow([ms[i], ms[j], len(a), len(b),
-                                     f"{u:.6f}", f"{p:.6g}"])
-                else:
-                    writer.writerow([ms[i], ms[j], len(a), len(b), "", ""])
-
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w") as fh:
+    paths = {name: os.path.join(out_dir, f"{name}.csv")
+             for name in ("results", "summary", "wilcoxon")}
+    _write_csv(paths["results"], ["sweep", "value", "trial", "perm", "method",
+                                  "tp", "fp", "fn", "f1", "error"], rows)
+    _write_csv(paths["summary"], ["value", "method", "n", "mean_f1", "sd_f1"], summary)
+    _write_csv(paths["wilcoxon"], ["method_a", "method_b", "n_a", "n_b", "u", "p"], wilcoxon)
+    paths["manifest"] = os.path.join(out_dir, "manifest.json")
+    with open(paths["manifest"], "w") as fh:
         json.dump(asdict(cfg), fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return {
-        "results": results_path,
-        "summary": summary_path,
-        "wilcoxon": wilcoxon_path,
-        "manifest": manifest_path,
-    }
-
+    return paths

@@ -12,14 +12,22 @@ from scipy.special import betainc
 _PEAK = 2.0 ** 200  # below it no sum of squares, nor a product of two, overflows
 
 
-def _bounded(x: np.ndarray, axis: int) -> np.ndarray:
-    """x, with each column (axis 0) or row (axis 1) whose largest magnitude
-    exceeds _PEAK scaled by a power of two to below 1. Such a scaling is exact
-    (short of subnormals), so no correlation changes, but no square overflows."""
+def peak_exponents(x: np.ndarray, axis: int) -> np.ndarray | None:
+    """Per column (axis 0) or row (axis 1) of x, the power of two whose ldexp
+    scales a largest magnitude above _PEAK to below 1, and 0 elsewhere; None
+    when no magnitude exceeds _PEAK. Such a scaling is exact (short of
+    subnormals), so it changes no correlation, and a mean or a deviation only
+    by the same power, but no square overflows."""
     if max(x.max(initial=0.0), -x.min(initial=0.0)) <= _PEAK:  # whole-array passes are cheap
-        return x
+        return None
     peak = np.maximum(x.max(axis=axis, keepdims=True), -x.min(axis=axis, keepdims=True))
-    return np.ldexp(x, np.where(peak > _PEAK, -np.frexp(peak)[1], 0))
+    return np.where(peak > _PEAK, -np.frexp(peak)[1], 0)
+
+
+def _bounded(x: np.ndarray, axis: int) -> np.ndarray:
+    """x, with each column (axis 0) or row (axis 1) past _PEAK scaled below 1."""
+    e = peak_exponents(x, axis)
+    return x if e is None else np.ldexp(x, e)
 
 
 def pearson(x, y) -> float:

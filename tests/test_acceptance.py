@@ -370,7 +370,7 @@ def test_07a_stable_matching_oracle():
         sim = SimilarityMatrix(rows, cols, values, np.zeros(values.shape, bool))
         got = {
             int(p.feature_a[1:]): int(p.feature_b[1:])
-            for p in gale_shapley(sim, direction="auto")
+            for p in gale_shapley(sim)
         }
         assert len(got) == min(nr, nc)
         assert _is_stable(values, got), f"unstable matching on {values!r}"

@@ -1,5 +1,7 @@
 """Paired autoencoders: losses, training behavior, translation, persistence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,19 @@ def test_column_scaler_constant_column():
     z = sc.transform(x)
     assert np.allclose(z[:, 0], 0.0)
     assert np.allclose(sc.inverse(z), x, atol=1e-12)
+
+
+def test_column_scaler_fits_a_column_past_the_overflow_bound():
+    # scaled by 2**900, a column's squares overflow; its mean and deviation
+    # scale by exactly that power, and the other columns keep their bits
+    x = np.random.default_rng(2).standard_normal((50, 3))
+    power = np.array([0, 900, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ColumnScaler.fit(np.ldexp(x, power))
+    want = ColumnScaler.fit(x)
+    assert np.array_equal(got.mean, np.ldexp(want.mean, power))
+    assert np.array_equal(got.std, np.ldexp(want.std, power))
 
 
 # ---------------------------------------------------------------- config

@@ -188,7 +188,7 @@ def test_bench_rejects_misspelled_config_key(tmp_path, caplog):
 def test_bench_rejects_bad_config_values(tmp_path, caplog):
     cfg_path = tmp_path / "bench.json"
     cfg_path.write_text(json.dumps({
-        "settings": {"direction": "sideways", "fdr_q": 1.5}, "kang": {"bins": 1},
+        "settings": {"measure": "spearman", "fdr_q": 1.5}, "kang": {"bins": 1},
     }))
     out_dir = tmp_path / "bench"
     rc = main(["bench", "--config", str(cfg_path), "--out", str(out_dir)])

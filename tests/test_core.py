@@ -33,7 +33,6 @@ from schemamatch.core import (
     write_mapped_sidecar,
 )
 from schemamatch.kang import KangConfig
-from schemamatch.kmf import PromotionPolicy
 from schemamatch.pipeline import ExperimentConfig, MatchSettings
 from schemamatch.synthgen import build_scenario
 from helpers import csv_and_sidecar, make_dataset
@@ -147,14 +146,13 @@ def test_impute_simple_mean_and_mode():
     assert impute_simple(mixed).cells[2][0] == 1.0
 
 
-def test_load_dataset_names_the_column_whose_mean_overflows(tmp_path):
+def test_load_dataset_imputes_a_mean_near_the_float64_limit(tmp_path):
+    # 1e308 + 1e308 overflows, but the mean of finite values is always finite
     p = _write(tmp_path / "t.csv", "x,y\n1,1e308\n2,1e308\n3,\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError) as err:
-            load_dataset(p)
-    assert str(err.value) == (f"{p}: column 'y': the mean of its observed values "
-                              "overflows the float64 range")
+        ds = load_dataset(p)
+    assert ds.column("y").tolist() == [1e308, 1e308, 1e308]
 
 
 def test_impute_simple_all_missing_column():
@@ -509,10 +507,9 @@ _JSON = st.recursive(_SCALAR, lambda kids: st.lists(kids, max_size=3)
                      | st.dictionaries(st.text(max_size=4), kids, max_size=3),
                      max_leaves=6)
 # spellings the configs accept, so that generated objects also get past the names
-_WORDS = st.sampled_from(["kmf", "kang", "chimeric", "auto", "rows_apply", "pearson",
-                          "mutual_information", "tanh", "relu", "linear", "euclidean",
-                          "normal", "threshold", "top_fraction", "permutation", "onto",
-                          "partial", "k_mapped", "latent_dim", "gaussian", "x"])
+_WORDS = st.sampled_from(["kmf", "kang", "chimeric", "pearson", "mutual_information",
+                          "tanh", "relu", "linear", "euclidean", "normal", "permutation",
+                          "onto", "partial", "k_mapped", "latent_dim", "gaussian", "x"])
 
 
 def _typed(tp):
@@ -545,8 +542,8 @@ def _objects(cls):
             | st.tuples(present, junk).map(lambda dj: {**dj[1], **dj[0]}))
 
 
-_CONFIG_CLASSES = (ChimericConfig, KangConfig, MatchSettings, PromotionPolicy,
-                   ExperimentConfig, ScenarioSpec)
+_CONFIG_CLASSES = (ChimericConfig, KangConfig, MatchSettings, ExperimentConfig,
+                   ScenarioSpec)
 
 
 @pytest.mark.parametrize("cls", _CONFIG_CLASSES, ids=lambda c: c.__name__)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from schemamatch.kmf import (
-    PromotionPolicy,
+    PROMOTE_AT,
     fingerprint_translation,
     fingerprints,
     kmf_similarity,
     promote_matches,
-    select_for_promotion,
 )
 from schemamatch.matcher import MatchProposal
 from schemamatch.stats import SimilarityMatrix, cosine, pearson
@@ -145,37 +144,22 @@ def test_fingerprint_translation_columns():
 
 # ---------------------------------------------------------------- promotion
 
-def _props():
-    return [
+def test_promote_matches_takes_accepted_pairs_at_the_threshold():
+    ds_a = make_dataset(np.random.default_rng(12).standard_normal((20, 6)), mapped_count=1,
+                        names=["m", "x0", "x1", "x2", "x3", "x4"])
+    ds_b = make_dataset(np.random.default_rng(13).standard_normal((20, 6)), mapped_count=1,
+                        names=["m", "y0", "y1", "y2", "y3", "y4"])
+    props = [
         MatchProposal("x0", "y0", similarity=0.9, accepted=True),
-        MatchProposal("x1", "y1", similarity=0.6, accepted=True),
+        MatchProposal("x1", "y1", similarity=PROMOTE_AT, accepted=True),
         MatchProposal("x2", "y2", similarity=0.95, accepted=False),
         MatchProposal("x3", "y3", similarity=0.2, accepted=True),
+        MatchProposal("x4", "y4", similarity=np.nextafter(PROMOTE_AT, 0.0), accepted=True),
     ]
-
-
-def test_select_for_promotion_threshold():
-    got = select_for_promotion(_props(), PromotionPolicy(kind="threshold", value=0.5))
-    assert [p.feature_a for p in got] == ["x0", "x1"]
-    loose = PromotionPolicy(kind="threshold", value=0.5, require_accepted=False)
-    got = select_for_promotion(_props(), loose)
-    assert [p.feature_a for p in got] == ["x0", "x1", "x2"]
-
-
-def test_select_for_promotion_top_fraction():
-    got = select_for_promotion(_props(), PromotionPolicy(kind="top_fraction", value=0.5))
-    # accepted pool has 3 entries; floor(0.5 * 3) = 1, best similarity first
-    assert [p.feature_a for p in got] == ["x0"]
-    all_of_them = select_for_promotion(
-        _props(), PromotionPolicy(kind="top_fraction", value=1.0))
-    assert [p.feature_a for p in all_of_them] == ["x0", "x1", "x3"]
-
-
-def test_promotion_policy_validation():
-    with pytest.raises(ValueError):
-        PromotionPolicy(kind="best")
-    with pytest.raises(ValueError):
-        PromotionPolicy(kind="top_fraction", value=1.5)
+    a2, b2, promoted = promote_matches(ds_a, ds_b, props)
+    assert promoted == props[:2]
+    assert a2.mapped_names == ["m", "x0", "x1"]
+    assert b2.mapped_names == ["m", "y0", "y1"]
 
 
 def test_promote_matches_extends_mapped_prefix():

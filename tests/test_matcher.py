@@ -11,6 +11,7 @@ from scipy.special import betainc
 
 from schemamatch.matcher import (
     MatchProposal,
+    _stable_match,
     gale_shapley,
     holdout_filter,
     proposals_from_csv,
@@ -135,20 +136,22 @@ def test_rank_of_choice_counts_proposals():
     # a0 and a1 both prefer b0; b0 prefers a0, so a1 settles for b1 on its
     # second proposal
     values = np.array([[0.9, 0.1], [0.8, 0.7]])
-    props = gale_shapley(sim_matrix(values), direction="rows_apply")
+    props = gale_shapley(sim_matrix(values))  # a square market: the rows apply
     ranks = {p.feature_a: p.rank_of_choice for p in props}
     assert ranks == {"a0": 1, "a1": 2}
     pairs = {p.feature_a: p.feature_b for p in props}
     assert pairs == {"a0": "b0", "a1": "b1"}
 
 
-def test_direction_auto_vs_forced():
-    rng = np.random.default_rng(43)
-    values = rng.random((2, 4))
-    sim = sim_matrix(values)
-    assert gale_shapley(sim) == gale_shapley(sim, direction="rows_apply")
-    with pytest.raises(ValueError):
-        gale_shapley(sim, direction="sideways")
+def test_the_smaller_side_applies():
+    # rank_of_choice counts down the applicant's list. On this tall market the
+    # columns apply, and b1 wins a1 on its second proposal; had the rows
+    # applied, a1 would have won b1 on its first. Transposed, the rows apply.
+    values = np.array([[0.9, 0.8], [0.1, 0.7], [0.2, 0.3]])
+    want = [("a0", "b0", 1), ("a1", "b1", 2)]
+    for market in (values, values.T):
+        props = gale_shapley(sim_matrix(market))
+        assert [(p.feature_a, p.feature_b, p.rank_of_choice) for p in props] == want
 
 
 def test_degenerate_entries_rank_last():
@@ -156,7 +159,7 @@ def test_degenerate_entries_rank_last():
     degen = np.array([[True, False], [True, False]])
     sim = SimilarityMatrix(row_features=["a0", "a1"], col_features=["b0", "b1"],
                            values=values, degenerate=degen)
-    props = gale_shapley(sim, direction="rows_apply")
+    props = gale_shapley(sim)
     pairs = {p.feature_a: p.feature_b for p in props}
     # a1 wins b1 (0.9 > 0.2); a0 falls back to the degenerate b0
     assert pairs == {"a0": "b0", "a1": "b1"}
@@ -189,10 +192,14 @@ def _reference_stable_match(keys):
     return {i: (j, next_choice[i]) for j, i in held.items()}
 
 
-def _reference_gale_shapley(sim, direction):
-    keys = np.where(sim.degenerate, -np.inf, sim.values)
+def _keys(sim):
+    return np.where(sim.degenerate, -np.inf, sim.values)
+
+
+def _reference_gale_shapley(sim):
+    keys = _keys(sim)
     n_rows, n_cols = keys.shape
-    if direction == "rows_apply" or (direction == "auto" and n_rows <= n_cols):
+    if n_rows <= n_cols:
         pairs = [(i, j, rank) for i, (j, rank) in _reference_stable_match(keys).items()]
     else:
         pairs = [(i, j, rank) for j, (i, rank) in _reference_stable_match(keys.T).items()]
@@ -248,34 +255,49 @@ def _tied_market(rng, shape):
     return sim_matrix(values, rng.random(shape) < 0.2)
 
 
+# "auto" is gale_shapley, which lets the smaller side apply; "rows_apply" and
+# "cols_apply" run its kernel with that side of the market applying, so that
+# the kernel is checked in both orientations on every shape
+APPLICANTS = ["rows_apply", "cols_apply", "auto"]
+
+
+def _ranks_equal_to_reference(sim, applicants):
+    """Check a matching against the reference, bit for bit, and return the
+    rank_of_choice of each matched pair."""
+    if applicants == "auto":
+        got = gale_shapley(sim)
+        assert _bits(got) == _bits(_reference_gale_shapley(sim))
+        return [p.rank_of_choice for p in got]
+    keys = _keys(sim) if applicants == "rows_apply" else _keys(sim).T
+    got = _stable_match(keys)
+    assert got == _reference_stable_match(keys)
+    return [rank for _, rank in got.values()]
+
+
 @pytest.mark.parametrize("shape", [(200, 200), (240, 200), (200, 240)])
-@pytest.mark.parametrize("direction", ["rows_apply", "cols_apply", "auto"])
-def test_gale_shapley_equals_reference_on_tied_markets(shape, direction):
+@pytest.mark.parametrize("applicants", APPLICANTS)
+def test_gale_shapley_equals_reference_on_tied_markets(shape, applicants):
     rng = np.random.default_rng(60 + shape[0] + shape[1])
     sim = _tied_market(rng, shape)
     assert np.signbit(sim.values[sim.values == 0.0]).any()
-    got = gale_shapley(sim, direction)
-    assert _bits(got) == _bits(_reference_gale_shapley(sim, direction))
-    assert len(got) == min(shape)
+    assert len(_ranks_equal_to_reference(sim, applicants)) == min(shape)
 
 
-@pytest.mark.parametrize("direction", ["rows_apply", "cols_apply", "auto"])
-def test_gale_shapley_equals_reference_when_all_agree(direction):
+@pytest.mark.parametrize("applicants", APPLICANTS)
+def test_gale_shapley_equals_reference_when_all_agree(applicants):
     # every applicant ranks the reviewers alike and every reviewer the
     # applicants alike, so nearly every applicant is rejected and sorted
     idx = np.arange(600.0)
     sim = sim_matrix(np.add.outer(idx, idx))
-    got = gale_shapley(sim, direction)
-    assert _bits(got) == _bits(_reference_gale_shapley(sim, direction))
-    assert sum(p.rank_of_choice for p in got) > 600 * 300
+    assert sum(_ranks_equal_to_reference(sim, applicants)) > 600 * 300
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
-@pytest.mark.parametrize("direction", ["rows_apply", "cols_apply", "auto"])
-def test_gale_shapley_empty_side(shape, direction):
+@pytest.mark.parametrize("applicants", APPLICANTS)
+def test_gale_shapley_empty_side(shape, applicants):
     sim = sim_matrix(np.zeros(shape))
-    assert gale_shapley(sim, direction) == []
-    assert _reference_gale_shapley(sim, direction) == []
+    assert _ranks_equal_to_reference(sim, applicants) == []
+    assert _reference_gale_shapley(sim) == []
 
 
 # ------------------------------------------------------- hold-out filter

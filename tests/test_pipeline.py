@@ -3,6 +3,7 @@ driver."""
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from schemamatch import pipeline
 from schemamatch.chimeric import ChimericConfig, translate
 from schemamatch.core import BINARY, ScenarioSpec, from_dict
 from schemamatch.kang import KangConfig, mi_matrix
-from schemamatch.kmf import PromotionPolicy, fingerprints, kmf_similarity, promote_matches
+from schemamatch.kmf import fingerprints, kmf_similarity, promote_matches
 from schemamatch.matcher import MatchProposal
 from schemamatch.pipeline import (
     ExperimentConfig,
@@ -60,15 +61,9 @@ def test_split_rows_too_small():
 
 
 def test_match_settings_validation():
-    with pytest.raises(ValueError):
-        MatchSettings(holdout_fraction=0.0)
-    with pytest.raises(ValueError):
-        MatchSettings(holdout_fraction=1.0)
     for q in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match="fdr_q"):
             MatchSettings(fdr_q=q)
-    with pytest.raises(ValueError, match="direction"):
-        MatchSettings(direction="sideways")
     with pytest.raises(ValueError, match="measure"):
         MatchSettings(measure="spearman")
 
@@ -230,8 +225,7 @@ def test_run_two_stage_structure():
     ds_a, ds_b = correlated_pair(600, 8, 4, seed=9)
     cfg = ChimericConfig(latent_dim=2, hidden=(8, 4), epochs=2, lr=1e-3, seed=1)
     res = run_two_stage(ds_a, ds_b, cfg)
-    ds_a2, _, promoted = promote_matches(
-        ds_a, ds_b, run_kmf(ds_a, ds_b).proposals, MatchSettings().promotion)
+    ds_a2, _, promoted = promote_matches(ds_a, ds_b, run_kmf(ds_a, ds_b).proposals)
     assert ds_a2.mapped_count == 4 + len(promoted)
     n_promoted = len(promoted)
     assert res.proposals[:n_promoted] == promoted
@@ -240,15 +234,17 @@ def test_run_two_stage_structure():
         assert p.feature_a not in promoted_a
 
 
-@pytest.mark.parametrize("flip", [False, True])
-def test_run_two_stage_is_its_composition(flip):
-    ds_a, ds_b = correlated_pair(600, 8, 4, seed=9)
+@pytest.mark.parametrize("swap", [False, True])
+def test_run_two_stage_is_its_composition(swap):
+    # seed 1 promotes 3 of the 4 unmapped pairs at PROMOTE_AT, in either order
+    ds_a, ds_b = correlated_pair(600, 8, 4, seed=1)
+    if swap:  # B against B->A is the same call with the arguments swapped
+        ds_a, ds_b = ds_b, ds_a
     cfg = ChimericConfig(latent_dim=2, hidden=(8, 4), epochs=2, lr=1e-3, seed=1)
-    settings = MatchSettings(split_seed=2, flip_translation=flip,
-                             promotion=PromotionPolicy(kind="top_fraction", value=0.5))
+    settings = MatchSettings(split_seed=2)
     res = run_two_stage(ds_a, ds_b, cfg, settings)
     ds_a2, ds_b2, promoted = promote_matches(
-        ds_a, ds_b, run_kmf(ds_a, ds_b, settings).proposals, settings.promotion)
+        ds_a, ds_b, run_kmf(ds_a, ds_b, settings).proposals)
     direct = run_chimeric(ds_a2, ds_b2, cfg, settings)
     assert 0 < len(promoted) < 4  # both stages have pairs to match
     assert direct.proposals
@@ -304,6 +300,21 @@ def test_run_method_on_degenerate_tables(method, kind):
         assert np.array_equal(mi_matrix(ds.values), reference_mi_matrix(ds.values))
 
 
+@pytest.mark.parametrize("method", ["chimeric", "kmf_then_chimeric"])
+def test_run_method_on_a_column_near_the_float64_limit(method):
+    # the squares of +-1e300 overflow; the column scaler fits them at a
+    # power-of-two scale
+    ds_a, ds_b = correlated_pair(300, 6, 2)
+    values = ds_a.values.copy()
+    values[:2, 3] = [1e300, -1e300]
+    ds_a = replace(ds_a, values=values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_method(method, ds_a, ds_b, **_SMALL_CFGS)
+    assert len(res.proposals) == 4
+    assert np.isfinite(res.model.scaler_a.std).all()
+
+
 @pytest.mark.parametrize("method", pipeline.METHODS)
 def test_run_method_when_every_column_is_mapped(method):
     ds_a, ds_b = correlated_pair(300, 6, 6, seed=4)
@@ -327,31 +338,28 @@ def test_run_method_at_the_smallest_holdout(method):
             run_method(method, ds_a, ds_b, **_SMALL_CFGS)
 
 
-@pytest.mark.parametrize("flip", [False, True])
-def test_run_chimeric_translation_direction(flip):
+@pytest.mark.parametrize("swap", [False, True])
+def test_run_chimeric_translation_direction(swap):
     ds_a, ds_b = correlated_pair(300, 6, 2, seed=14)
     ds_b = replace(ds_b, features=tuple(
         replace(f, name=f"b_{f.name}") for f in ds_b.features))
-    settings = MatchSettings(split_seed=3, flip_translation=flip)
+    if swap:  # B against B->A is the same call with the arguments swapped
+        ds_a, ds_b = ds_b, ds_a
+    settings = MatchSettings(split_seed=3)
     cfg = ChimericConfig(latent_dim=2, hidden=(8, 4), epochs=2, lr=1e-3, seed=2)
     res = run_chimeric(ds_a, ds_b, cfg, settings)
     assert res.proposals
     for p in res.proposals:
         assert p.feature_a in ds_a.unmapped_names
         assert p.feature_b in ds_b.unmapped_names
-    # the hold-out statistic correlates the source side's raw column with the
-    # translation of the source side's hold-out rows at the partner's column
-    if flip:
-        src, dst, seed, direction = ds_b, ds_a, settings.split_seed + 1, "b_to_a"
-    else:
-        src, dst, seed, direction = ds_a, ds_b, settings.split_seed, "a_to_b"
-    _, hold = split_rows(src.n_rows, settings.holdout_fraction, seed)
-    src_hold = src.values[hold]
-    z_hold = translate(res.model, src_hold, direction)
+    # the hold-out statistic correlates the first database's raw column with
+    # the translation of its hold-out rows at the partner's column
+    _, hold = split_rows(ds_a.n_rows, pipeline.HOLDOUT_FRACTION, settings.split_seed)
+    a_hold = ds_a.values[hold]
+    z_hold = translate(res.model, a_hold, "a_to_b")
     for p in res.proposals:
-        own, other = (p.feature_b, p.feature_a) if flip else (p.feature_a, p.feature_b)
-        assert p.holdout_stat == pearson(src_hold[:, src.index_of(own)],
-                                         z_hold[:, dst.index_of(other)])
+        assert p.holdout_stat == pearson(a_hold[:, ds_a.index_of(p.feature_a)],
+                                         z_hold[:, ds_b.index_of(p.feature_b)])
 
 
 def test_run_method_dispatch_and_unknown():
@@ -392,8 +400,8 @@ def _kmf_margin(ds_a, ds_b, res, settings=MatchSettings()):
     """Distance of run_kmf's run from its nearest decision: the smallest gap
     between two similarities in one row or column of the matched matrix, and
     the smallest distance of a p-value from a BY critical value."""
-    tr_a, _ = split_rows(ds_a.n_rows, settings.holdout_fraction, settings.split_seed)
-    tr_b, _ = split_rows(ds_b.n_rows, settings.holdout_fraction, settings.split_seed + 1)
+    tr_a, _ = split_rows(ds_a.n_rows, pipeline.HOLDOUT_FRACTION, settings.split_seed)
+    tr_b, _ = split_rows(ds_b.n_rows, pipeline.HOLDOUT_FRACTION, settings.split_seed + 1)
     sim = kmf_similarity(fingerprints(ds_a.subset_rows(tr_a)),
                          fingerprints(ds_b.subset_rows(tr_b))).values
     gaps = [np.diff(np.sort(sim, axis=1), axis=1), np.diff(np.sort(sim, axis=0), axis=0)]
@@ -517,7 +525,7 @@ def test_run_benchmark_smoke(tmp_path):
         # non-default nested values, so the manifest round trip decodes them
         chimeric=ChimericConfig(hidden=(12, 6)),
         kang=KangConfig(metric="normal"),
-        settings=MatchSettings(promotion=PromotionPolicy(kind="top_fraction", value=0.25)),
+        settings=MatchSettings(fdr_q=0.1, measure="mutual_information"),
     )
     paths = run_benchmark(cfg, tmp_path / "out")
     assert set(paths) == {"results", "summary", "wilcoxon", "manifest"}
